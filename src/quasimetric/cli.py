@@ -239,7 +239,11 @@ def cmd_predict(args) -> int:
         qm = _load_space(args)
         if qm.n != clf.n:
             raise ValueError(f"space has {qm.n} points but classifier expects {clf.n}")
-        for i in _ids_arg(args.ids, qm.n):
+        ids = _ids_arg(args.ids, qm.n)
+        if len(set(ids)) < len(ids):
+            repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise ValueError(f"--ids repeats id {repeated}")
+        for i in ids:
             res = _classifier.predict(clf, i, space=qm)
             lines.append((i, res.label))
     for i, lab in lines:

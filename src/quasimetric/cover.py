@@ -89,6 +89,16 @@ def _clean_ids(qm: QuasiMetric, ids: Iterable[int], what: str) -> list[int]:
     return out
 
 
+def _check_alpha(alpha: float, positive: bool = False) -> None:
+    """Reject a NaN radius, and a negative one (or, if ``positive``, zero)."""
+    if math.isnan(alpha):
+        raise ValueError("alpha must be a number, got nan")
+    if positive and alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+
+
 def _coverage_matrix(qm: QuasiMetric, candidates: list[int], target: list[int],
                      alpha: float, direction: Direction) -> np.ndarray:
     """Boolean [candidate x target] matrix: does this ball contain that point?"""
@@ -144,8 +154,7 @@ def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[in
                  alpha: float, direction: Direction) -> Cover:
     """Full greedy cover of ``target`` drawing centers from ``candidates``."""
     direction = Direction(direction)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
     return _greedy_engine(qm, cand, tgt, alpha, direction, max_uncovered=0)
@@ -169,8 +178,7 @@ def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterabl
     direction = Direction(direction)
     if not (0 < eps < 1):
         raise ValueError("eps must lie strictly between 0 and 1")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
     return _greedy_engine(qm, cand, tgt, alpha, direction,
@@ -186,8 +194,7 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     ``order`` is ``ascending`` (by id) or ``shuffled`` (seeded).
     """
     direction = Direction(direction)
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
     if order == "shuffled":
@@ -236,10 +243,9 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     direction = Direction(direction)
     if qm.mode is not Mode.STRICT or qm.has_infinite:
         raise ValueError("iterated_cover requires a strict-mode space")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if lambda_hat < 2:
-        raise ValueError("lambda_hat must be at least 2")
+    _check_alpha(alpha, positive=True)
+    if not lambda_hat >= 2:  # also rejects NaN
+        raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
 

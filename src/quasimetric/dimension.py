@@ -85,46 +85,116 @@ class ConstantEstimate:
         }
 
 
-def _critical_radii(values: np.ndarray) -> list[float]:
-    vals = values[np.isfinite(values) & (values > 0)]
-    return sorted(set(float(v) for v in vals))
+# Largest unpacked boolean coverage block (radii x candidates x members,
+# members padded to whole words) that the greedy sweep builds at once; a
+# center with more radii splits them, so memory stays O(n^2) rather than
+# the O(n^3) of all its balls together.
+_BLOCK_CAP = 1 << 22
 
 
-def _ball_members(dist: np.ndarray, center: int, radius: float,
-                  direction: Direction) -> list[int]:
-    row = dist[center, :] if direction is Direction.OUTER else dist[:, center]
-    return np.nonzero(row <= radius)[0].tolist()
+def _critical_radii(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct finite positive values: the radii worth sweeping."""
+    return np.unique(values[np.isfinite(values) & (values > 0)])
 
 
 def _min_cover_of_ball(qm: QuasiMetric, members: list[int], radius: float,
-                       direction: Direction, method: str) -> int:
-    half = radius / 2.0
-    everyone = list(range(qm.n))
-    if method == "greedy":
-        result = _cover.greedy_cover(qm, members, everyone, half, direction)
-        return result.size
-    size, _ = _cover.exact_min_cover(qm, members, everyone, half, direction,
-                                     size_cap=max(len(members), 1))
+                       direction: Direction) -> int:
+    size, _ = _cover.exact_min_cover(qm, members, range(qm.n), radius / 2.0,
+                                     direction, size_cap=max(len(members), 1))
     return size
 
 
-def _sweep(qm: QuasiMetric, direction: Direction, method: str,
-           quantity: str, ball_value) -> ConstantEstimate:
-    """Maximize ball_value(center, radius, members) over all critical balls."""
-    est = ConstantEstimate(value=1, quantity=quantity, method=method,
-                           direction=direction if quantity == "directional" else None,
-                           witness_center=0, witness_radius=0.0)
-    d = qm.dist
+def _sweep(qm: QuasiMetric, direction: Direction, ball_value):
+    """Yield (center, radius, ball_value(members)) over all critical balls."""
+    d = qm.dist if direction is Direction.OUTER else qm.dist.T
     for center in range(qm.n):
-        values = d[center, :] if direction is Direction.OUTER else d[:, center]
-        for radius in _critical_radii(values):
-            members = _ball_members(d, center, radius, direction)
-            needed = ball_value(center, radius, members)
-            est.per_ball.append((center, radius, needed))
-            if needed > est.value:
-                est.value = needed
-                est.witness_center = center
-                est.witness_radius = radius
+        row = d[center]
+        for radius in _critical_radii(row).tolist():
+            members = np.nonzero(row <= radius)[0].tolist()
+            yield center, radius, ball_value(members, radius)
+
+
+def _cover_sweep(qm: QuasiMetric, direction: Direction, method: str):
+    """Yield (center, radius, half-radius cover size) over all critical balls."""
+    if method == "greedy":
+        return _greedy_sweep(qm.dist if direction is Direction.OUTER else qm.dist.T)
+    return _sweep(qm, direction, lambda members, radius:
+                  _min_cover_of_ball(qm, members, radius, direction))
+
+
+def _greedy_sweep(d: np.ndarray):
+    """Yield (center, radius, greedy cover size) over all critical OUTER balls.
+
+    Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``,
+    computed for all of a center's radii at once: the stably sorted row
+    makes every ball a prefix of one order, and the greedy rounds run over
+    packed bitsets of the targets.  INNER passes ``dist.T``.
+    """
+    n = d.shape[0]
+    for center in range(n):
+        perm = np.argsort(d[center], kind="stable")
+        ranked = d[center, perm]
+        radii = _critical_radii(ranked)
+        if not radii.size:
+            continue
+        members = np.searchsorted(ranked, radii, side="right")
+        # Whole 64-bit words per candidate row, so packing the flat block
+        # packs each row on its own; the inf padding lies in no ball.
+        width = -(-members[-1] // 64) * 64
+        table = np.full((n, width), np.inf)
+        table[:, :members[-1]] = d[:, perm[:members[-1]]]
+        step = max(1, _BLOCK_CAP // (n * width))
+        for lo in range(0, radii.size, step):
+            rs, ms = radii[lo:lo + step], members[lo:lo + step]
+            halves = rs / 2.0
+            covers = np.packbits(np.less_equal(table, halves[:, None, None], order="C")
+                                 ).view(np.uint64).reshape(rs.size, n, width // 64)
+            covers = np.ascontiguousarray(covers.transpose(0, 2, 1))
+            active = np.packbits(np.arange(width) < ms[:, None], axis=-1).view(np.uint64)
+            lost = active & ~np.bitwise_or.reduce(covers, axis=2)
+            if lost.any():
+                j = int(np.flatnonzero(lost.any(axis=1))[0])
+                missing = perm[np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))]
+                raise _cover.CoverageError(
+                    f"{missing.size} target point(s) lie in no candidate ball at "
+                    f"radius {float(halves[j])}", uncoverable=set(missing.tolist()))
+            for radius, size in zip(rs.tolist(), _greedy_rounds(covers, active).tolist()):
+                yield center, radius, size
+
+
+def _greedy_rounds(covers: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Greedy rounds needed to clear each batch entry's ``active`` bits.
+
+    ``covers[b, :, c]`` holds, as 64-bit words, the targets candidate c
+    covers in entry b, and ``active[b]`` the targets still uncovered there.
+    Each round picks, per entry, the candidate covering the most active
+    targets (first maximum, so the lowest id wins ties), as ``greedy_cover``
+    does; entries leave the batch once cleared.
+    """
+    rounds = np.zeros(len(active), dtype=np.int64)
+    live = np.arange(len(active))
+    while live.size:
+        gain = np.bitwise_count(covers & active[:, :, None]).sum(axis=1)
+        picked = covers[np.arange(live.size), :, gain.argmax(axis=1)]
+        active &= ~picked
+        rounds[live] += 1
+        left = active.any(axis=1)
+        if not left.all():
+            live, covers, active = live[left], covers[left], active[left]
+    return rounds
+
+
+def _estimate(rows, quantity: str, method: str,
+              direction: Optional[Direction] = None) -> ConstantEstimate:
+    """Collect (center, radius, value) rows; the witness is the first maximum."""
+    est = ConstantEstimate(value=1, quantity=quantity, method=method,
+                           direction=direction)
+    for center, radius, needed in rows:
+        est.per_ball.append((center, radius, needed))
+        if needed > est.value:
+            est.value = needed
+            est.witness_center = center
+            est.witness_radius = radius
     return est
 
 
@@ -140,11 +210,8 @@ def directional_constant(qm: QuasiMetric, direction: Direction,
     _check_method(method)
     if method == "exact" and qm.n > exact_cap:
         raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
-
-    def ball_value(center, radius, members):
-        return _min_cover_of_ball(qm, members, radius, direction, method)
-
-    return _sweep(qm, direction, method, "directional", ball_value)
+    return _estimate(_cover_sweep(qm, direction, method), "directional", method,
+                     direction)
 
 
 SpaceLike = Union[QuasiMetric, SymmetricSpace]
@@ -167,13 +234,7 @@ def doubling_constant(space: SpaceLike, method: str = "greedy",
     qm = _symmetric_view(space, "doubling_constant")
     if method == "exact" and qm.n > exact_cap:
         raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
-
-    def ball_value(center, radius, members):
-        return _min_cover_of_ball(qm, members, radius, Direction.OUTER, method)
-
-    est = _sweep(qm, Direction.OUTER, method, "doubling", ball_value)
-    est.direction = None
-    return est
+    return _estimate(_cover_sweep(qm, Direction.OUTER, method), "doubling", method)
 
 
 def density_constant(space: SpaceLike, method: str = "greedy",
@@ -190,15 +251,13 @@ def density_constant(space: SpaceLike, method: str = "greedy",
         raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
     d = qm.dist
 
-    def ball_value(center, radius, members):
+    def ball_value(members, radius):
         half = radius / 2.0
         if method == "exact":
             return _max_packing(d, members, half)
         return _greedy_clique_cover(d, members, half)
 
-    est = _sweep(qm, Direction.OUTER, method, "density", ball_value)
-    est.direction = None
-    return est
+    return _estimate(_sweep(qm, Direction.OUTER, ball_value), "density", method)
 
 
 def _check_method(method: str) -> None:

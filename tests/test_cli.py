@@ -189,6 +189,19 @@ class TestCover:
                           "--target", "7", "--candidates", "0"], capsys)
         assert rc == 1 and "error:" in cap.err
 
+    def test_nan_alpha_is_usage_error(self, cycle8, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "nan",
+                            "--direction", "outer"], capsys)
+        assert rc == 2 and doc is None
+        assert "alpha" in cap.err and "nan" in cap.err
+
+    def test_nan_lambda_hat_is_usage_error(self, cycle8, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2",
+                            "--direction", "outer", "--algo", "iterated",
+                            "--lambda-hat", "nan"], capsys)
+        assert rc == 2 and doc is None
+        assert "lambda_hat" in cap.err
+
     def test_shuffled_arbitrary_is_seeded(self, cycle8, capsys):
         argv = ["cover", "--input", cycle8, "--alpha", "2", "--direction",
                 "inner", "--algo", "arbitrary", "--order", "shuffled",
@@ -252,6 +265,23 @@ class TestTrainPredict:
         rc, _, cap = run(["predict", "--classifier", str(clf_path),
                           "--input", cycle8], capsys)
         assert rc == 2 and "expects 4" in cap.err
+
+    def test_predict_ids_reject_repeats_and_out_of_range(self, tmp_path, cycle8,
+                                                         capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {'+1' if i < 4 else '-1'}\n" for i in range(8)))
+        clf_path = tmp_path / "clf.json"
+        rc, _, _ = run(["train", "--input", cycle8, "--labels", str(labels),
+                        "--output", str(clf_path)], capsys)
+        assert rc == 0
+        predict = ["predict", "--classifier", str(clf_path), "--input", cycle8]
+        rc, _, cap = run(predict + ["--ids", "0,1"], capsys)
+        assert rc == 0 and cap.out.splitlines() == ["0 +1", "1 +1"]
+        rc, _, cap = run(predict + ["--ids", "1,1"], capsys)
+        assert rc == 2 and cap.out == ""
+        assert "--ids" in cap.err and "id 1" in cap.err
+        rc, _, cap = run(predict + ["--ids", "99"], capsys)
+        assert rc == 2 and cap.out == "" and "99" in cap.err
 
     def test_inseparable_sample_exits_one(self, tmp_path, capsys):
         space = tmp_path / "degenerate.txt"

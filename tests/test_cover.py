@@ -93,6 +93,20 @@ class TestGreedyCover:
         cov = greedy_cover(qm, range(4), range(4), 0.0, Direction.INNER)
         assert cov.size == 4
 
+    def test_nan_and_negative_alpha_rejected_by_every_construction(self):
+        qm = gen_cycle(4).space
+        builds = [
+            lambda a: greedy_cover(qm, range(4), range(4), a, Direction.INNER),
+            lambda a: greedy_cover_eps(qm, range(4), range(4), a, Direction.INNER, 0.5),
+            lambda a: arbitrary_cover(qm, range(4), range(4), a, Direction.INNER),
+            lambda a: iterated_cover(qm, range(4), range(4), a, Direction.INNER, 2.0),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="nan"):
+                build(math.nan)
+            with pytest.raises(ValueError, match="alpha"):
+                build(-1.0)
+
 
 class TestArbitraryCover:
     def test_line_ascending_takes_everything(self):
@@ -183,6 +197,8 @@ class TestIteratedCover:
         qm = gen_cycle(8).space
         with pytest.raises(ValueError, match="lambda_hat"):
             iterated_cover(qm, range(8), range(8), 4.0, Direction.INNER, 1.5)
+        with pytest.raises(ValueError, match="lambda_hat must be at least 2, got nan"):
+            iterated_cover(qm, range(8), range(8), 4.0, Direction.INNER, math.nan)
         relaxed = gen_line(8).space
         with pytest.raises(ValueError, match="strict"):
             iterated_cover(relaxed, range(8), range(8), 4.0, Direction.INNER, 2.0)

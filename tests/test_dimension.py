@@ -2,13 +2,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasimetric import (Direction, build_from_matrix, density_constant,
-                         directional_constant, doubling_constant, gen_backedge_line,
-                         gen_cycle, gen_hst_toward_root, gen_spoke_subset, log_iter,
+from quasimetric import (CoverageError, Direction, Mode, build_from_matrix,
+                         density_constant, directional_constant, doubling_constant,
+                         gen_backedge_line, gen_cycle, gen_hst_toward_root,
+                         gen_random_bounded, gen_spoke_subset, greedy_cover, log_iter,
                          log_star, to_max_metric, to_min_semimetric, transpose)
+from quasimetric import dimension
 
-from conftest import brute_max_packing, brute_min_cover, random_quasimetric
+from conftest import (brute_ball, brute_max_packing, brute_min_cover, floyd_warshall,
+                      random_quasimetric)
+
+
+@st.composite
+def tie_heavy_spaces(draw, allow_relaxed=True):
+    """Closures of integer weights 1-3; relaxed ones also miss edges (inf)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    relaxed = allow_relaxed and draw(st.booleans())
+    weights = [1.0, 2.0, 3.0] + ([math.inf] if relaxed else [])
+    w = draw(st.lists(st.sampled_from(weights), min_size=n * n, max_size=n * n))
+    return build_from_matrix(floyd_warshall(np.array(w).reshape(n, n)),
+                             mode=Mode.RELAXED if relaxed else Mode.STRICT)
+
+
+def greedy_reference(qm, direction):
+    """Per-ball rows from one public ``greedy_cover`` call per critical ball."""
+    d = qm.dist if direction is Direction.OUTER else qm.dist.T
+    rows = []
+    for center in range(qm.n):
+        for radius in sorted({float(v) for v in d[center] if 0 < v < math.inf}):
+            members = brute_ball(qm, center, radius, direction)
+            cov = greedy_cover(qm, members, range(qm.n), radius / 2, direction)
+            rows.append((center, radius, cov.size))
+    return rows
+
+
+def assert_matches_reference(est, rows):
+    assert est.per_ball == rows
+    assert est.value == max([1] + [v for _, _, v in rows])
+    witness = next(((c, r) for c, r, v in rows if v == est.value and v > 1), (0, 0.0))
+    assert (est.witness_center, est.witness_radius) == witness
 
 
 class TestIteratedLogs:
@@ -107,6 +142,33 @@ class TestDirectionalConstant:
         with pytest.raises(ValueError, match="exact"):
             directional_constant(qm, Direction.INNER, method="exact")
 
+    @given(qm=tie_heavy_spaces(), direction=st.sampled_from(list(Direction)))
+    @example(qm=build_from_matrix([[0.0]]), direction=Direction.OUTER)
+    @example(qm=gen_spoke_subset(2).space, direction=Direction.INNER)
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_kernel_matches_per_ball_reference(self, qm, direction):
+        assert_matches_reference(directional_constant(qm, direction),
+                                 greedy_reference(qm, direction))
+
+    @pytest.mark.parametrize("block_cap", [dimension._BLOCK_CAP, 40 * 64 * 3])
+    def test_greedy_kernel_matches_reference_at_n40(self, block_cap, monkeypatch):
+        # the small cap splits every center's radii into chunks of three
+        monkeypatch.setattr(dimension, "_BLOCK_CAP", block_cap)
+        qm = gen_random_bounded(40, 3).space
+        for direction in Direction:
+            assert_matches_reference(directional_constant(qm, direction),
+                                     greedy_reference(qm, direction))
+
+    def test_greedy_kernel_uncoverable_member_raises_like_greedy_cover(self):
+        # a nonzero diagonal leaves point 0 outside its own half-radius ball
+        qm = build_from_matrix([[1.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(CoverageError) as ref:
+            greedy_cover(qm, [0], range(2), 0.5, Direction.OUTER)
+        with pytest.raises(CoverageError) as err:
+            directional_constant(qm, Direction.OUTER)
+        assert str(err.value) == str(ref.value)
+        assert err.value.uncoverable == ref.value.uncoverable == {0}
+
     def test_per_ball_breakdown(self):
         qm = gen_cycle(4).space
         est = directional_constant(qm, Direction.OUTER, method="exact")
@@ -138,6 +200,13 @@ class TestDoublingConstant:
         qm = gen_cycle(5).space
         with pytest.raises(ValueError, match="symmetric"):
             doubling_constant(qm)
+
+    @given(qm=tie_heavy_spaces(allow_relaxed=False))
+    @settings(max_examples=40, deadline=None)
+    def test_greedy_kernel_matches_per_ball_reference(self, qm):
+        sym = to_max_metric(qm)
+        assert_matches_reference(doubling_constant(sym),
+                                 greedy_reference(sym.as_quasimetric(), Direction.OUTER))
 
     def test_greedy_upper_bounds_exact(self, rng):
         for _ in range(6):
