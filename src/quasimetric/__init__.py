@@ -10,7 +10,7 @@ from .dimension import (ConstantEstimate, density_constant, directional_constant
                         doubling_constant, log_iter, log_star)
 from .cover import (Cover, CoverageError, CoverStats, arbitrary_cover,
                     exact_min_cover, greedy_cover, greedy_cover_eps,
-                    greedy_cover_subset, iterated_cover, verify_cover)
+                    iterated_cover, verify_cover)
 from .classifier import (BoundReport, CompressedClassifier, DegenerateCandidatesError,
                          InseparableSampleError, LabeledSample, Margins,
                          bound_agnostic, bound_consistent, build_classifier,

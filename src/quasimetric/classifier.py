@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, Mode, QuasiMetric, QueryVectors,
-                    _query_vector_reader, nearest, set_distance, subspace)
+from .space import (Direction, Mode, QuasiMetric, _candidate_reads, set_distance,
+                    subspace)
 
 
 class InseparableSampleError(ValueError):
@@ -184,17 +184,6 @@ _KIND_TABLE = {
 }
 
 
-def _scores(qm: QuasiMetric, cover_ids: list[int], ids: list[int],
-            direction: Direction) -> np.ndarray:
-    """score(x) = min over cover centers of the oriented distance to x."""
-    centers = sorted(set(cover_ids))
-    if direction is Direction.OUTER:
-        block = qm.dist[np.ix_(centers, ids)]
-    else:
-        block = qm.dist[np.ix_(ids, centers)].T
-    return block.min(axis=0)
-
-
 def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
                      mode: str = "consistent", eps: Optional[float] = None,
                      lambda_hat: Optional[float] = None) -> CompressedClassifier:
@@ -257,10 +246,11 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
             cov = _cover.arbitrary_cover(qm, own, own, radius, direction)
 
         other = classes["neg" if class_key == "pos" else "pos"]
-        own_scores = _scores(qm, cov.cover_ids, own, direction)
+        own_scores = _cover._distance_to_cover(qm, cov.cover_ids, own, direction)
         covered_mask = np.array([i not in cov.uncovered for i in own])
         same_max = float(own_scores[covered_mask].max())
-        opp_min = float(_scores(qm, cov.cover_ids, other, direction).min())
+        opp_min = float(_cover._distance_to_cover(qm, cov.cover_ids, other,
+                                                  direction).min())
         gap = opp_min - same_max
         if gap <= 0:
             summaries.append(CandidateSummary(kind=kind, size=cov.size,
@@ -316,26 +306,8 @@ def predict(clf: CompressedClassifier, query,
     or of length k aligned with the sorted cover ids.
     """
     qm = space if space is not None else clf.space
-    if isinstance(query, QueryVectors):
-        vec = query.from_query if clf.direction is Direction.INNER else query.to_query
-        side = "from_query" if clf.direction is Direction.INNER else "to_query"
-        if vec is None:
-            raise ValueError(
-                f"query is missing the {side} side needed for {clf.direction.value}")
-        cand = sorted(set(clf.cover_ids))
-        reader = _query_vector_reader(vec, clf.n, cand)
-        best_d, evals = math.inf, 0
-        for c in cand:
-            d = reader(c)
-            evals += 1
-            if d < best_d:
-                best_d = d
-        score, evaluations = best_d, evals
-    else:
-        if qm is None:
-            raise ValueError("predict with a point id requires the training space")
-        res = nearest(qm, clf.cover_ids, int(query), clf.direction)
-        score, evaluations = res.distance, res.evaluations
+    cand, reads = _candidate_reads(qm, clf.n, clf.cover_ids, query, clf.direction)
+    score, evaluations = float(reads.min()), len(cand)
     label = clf.cover_label if score <= clf.threshold else -clf.cover_label
     return PredictResult(label=label, score=score, evaluations=evaluations)
 

@@ -23,10 +23,9 @@ from . import cover as _cover
 from . import dimension as _dimension
 from . import fixtures as _fixtures
 from . import transforms as _transforms
-from .space import (Direction, Mode, QuasiMetric, QueryVectors, build_from_matrix,
-                    default_tolerance, diameter, load_edge_list, load_matrix,
-                    nearest, parse_edge_list_text, parse_matrix_text, save_edge_list,
-                    save_matrix, validate)
+from .space import (Direction, Mode, QuasiMetric, QueryVectors, diameter,
+                    load_edge_list, load_matrix, nearest, save_edge_list, save_matrix,
+                    validate)
 
 SCHEMA = 1
 
@@ -103,6 +102,17 @@ def _ids_arg(raw: Optional[str], n: int) -> list[int]:
         raise ValueError(f"bad id list {raw!r}") from exc
     return ids
 
+
+# Symmetrization ops by CLI name.  The functions are looked up in
+# ``transforms`` at call time, so a rebinding there (a tracer) is honoured.
+_SYMMETRIZATIONS = {"max": "to_max_metric", "min": "to_min_semimetric",
+                   "sum": "to_sum_metric"}
+
+
+def _symmetrize(qm: QuasiMetric, op: str) -> _transforms.SymmetricSpace:
+    return getattr(_transforms, _SYMMETRIZATIONS[op])(qm)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -133,12 +143,7 @@ def cmd_dimension(args) -> int:
         est = _dimension.directional_constant(qm, Direction(args.direction),
                                               method=args.method)
     else:
-        space = qm
-        if args.symmetrize != "none":
-            op = {"max": _transforms.to_max_metric,
-                  "min": _transforms.to_min_semimetric,
-                  "sum": _transforms.to_sum_metric}[args.symmetrize]
-            space = op(qm)
+        space = qm if args.symmetrize == "none" else _symmetrize(qm, args.symmetrize)
         fn = (_dimension.doubling_constant if args.constant == "doubling"
               else _dimension.density_constant)
         est = fn(space, method=args.method)
@@ -275,8 +280,7 @@ def parse_queries_text(text: str, n: int) -> list[QueryVectors]:
             if side_line == "-":
                 sides.append(None)
                 continue
-            vals = [float(tok) if tok.lower() != "inf" else math.inf
-                    for tok in side_line.split()]
+            vals = [float(tok) for tok in side_line.split()]
             if len(vals) != n:
                 raise ValueError(f"query side has {len(vals)} values, expected {n}")
             sides.append(vals)
@@ -305,10 +309,7 @@ def cmd_bound(args) -> int:
 
 def cmd_transform(args) -> int:
     qm = _load_space(args)
-    op = {"max": _transforms.to_max_metric,
-          "min": _transforms.to_min_semimetric,
-          "sum": _transforms.to_sum_metric}[args.op]
-    sym = op(qm)
+    sym = _symmetrize(qm, args.op)
     report = _transforms.check_symmetric_axioms(sym, tolerance=args.tolerance)
     payload = {"n": sym.n, "op": args.op, "kind": sym.kind.value,
                "report": report.to_dict()}
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="directional")
     p.add_argument("--direction", choices=["outer", "inner"], default=None)
     p.add_argument("--method", choices=["greedy", "exact"], default="greedy")
-    p.add_argument("--symmetrize", choices=["none", "max", "min", "sum"],
+    p.add_argument("--symmetrize", choices=["none", *_SYMMETRIZATIONS],
                    default="none",
                    help="symmetrize first (doubling/density need symmetry)")
     p.add_argument("--per-ball", action="store_true",
@@ -506,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="symmetrize a space")
     _add_space_args(p)
-    p.add_argument("--op", choices=["max", "min", "sum"], required=True)
+    p.add_argument("--op", choices=list(_SYMMETRIZATIONS), required=True)
     p.add_argument("--output", default=None, help="write the matrix here")
     p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=cmd_transform)

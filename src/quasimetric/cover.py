@@ -102,11 +102,13 @@ def _check_alpha(alpha: float, positive: bool = False) -> None:
 def _coverage_matrix(qm: QuasiMetric, candidates: list[int], target: list[int],
                      alpha: float, direction: Direction) -> np.ndarray:
     """Boolean [candidate x target] matrix: does this ball contain that point?"""
-    if direction is Direction.OUTER:
-        block = qm.dist[np.ix_(candidates, target)]
-    else:
-        block = qm.dist[np.ix_(target, candidates)].T
-    return block <= alpha
+    return qm.oriented(direction)[np.ix_(candidates, target)] <= alpha
+
+
+def _distance_to_cover(qm: QuasiMetric, centers: list[int], points: list[int],
+                       direction: Direction) -> np.ndarray:
+    """Per point, the least oriented distance from any of ``centers``."""
+    return qm.oriented(direction)[np.ix_(centers, points)].min(axis=0)
 
 
 def _greedy_engine(qm: QuasiMetric, candidates: list[int], target: list[int],
@@ -158,13 +160,6 @@ def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[in
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
     return _greedy_engine(qm, cand, tgt, alpha, direction, max_uncovered=0)
-
-
-def greedy_cover_subset(qm: QuasiMetric, candidates: Iterable[int],
-                        subset: Iterable[int], alpha: float,
-                        direction: Direction) -> Cover:
-    """Greedy cover of a subset, centers drawn from a wider candidate pool."""
-    return greedy_cover(qm, subset, candidates, alpha, direction)
 
 
 def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
@@ -287,10 +282,7 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
         assignment = final.assignment
     else:
         ordered = sorted(cover_ids)
-        if direction is Direction.OUTER:
-            block = qm.dist[np.ix_(ordered, tgt)]
-        else:
-            block = qm.dist[np.ix_(tgt, ordered)].T
+        block = qm.oriented(direction)[np.ix_(ordered, tgt)]
         stats.distance_evaluations += len(ordered) * len(tgt)
         choice = np.argmin(block, axis=0)
         dists = block[choice, np.arange(len(tgt))]
@@ -317,14 +309,9 @@ def verify_cover(qm: QuasiMetric, cover: Cover, target: Iterable[int],
     alpha = cover.radius if alpha is None else alpha
     direction = cover.direction if direction is None else Direction(direction)
     tgt = _clean_ids(qm, target, "target")
-    ids = sorted(set(cover.cover_ids))
-    if not ids:
+    if not cover.cover_ids:
         raise ValueError("cover has no centers")
-    if direction is Direction.OUTER:
-        block = qm.dist[np.ix_(ids, tgt)]
-    else:
-        block = qm.dist[np.ix_(tgt, ids)].T
-    best = block.min(axis=0)
+    best = _distance_to_cover(qm, cover.cover_ids, tgt, direction)
     offenders = []
     for i, t in enumerate(tgt):
         if t in cover.uncovered:

@@ -106,7 +106,7 @@ def _min_cover_of_ball(qm: QuasiMetric, members: list[int], radius: float,
 
 def _sweep(qm: QuasiMetric, direction: Direction, ball_value):
     """Yield (center, radius, ball_value(members)) over all critical balls."""
-    d = qm.dist if direction is Direction.OUTER else qm.dist.T
+    d = qm.oriented(direction)
     for center in range(qm.n):
         row = d[center]
         for radius in _critical_radii(row).tolist():
@@ -117,7 +117,7 @@ def _sweep(qm: QuasiMetric, direction: Direction, ball_value):
 def _cover_sweep(qm: QuasiMetric, direction: Direction, method: str):
     """Yield (center, radius, half-radius cover size) over all critical balls."""
     if method == "greedy":
-        return _greedy_sweep(qm.dist if direction is Direction.OUTER else qm.dist.T)
+        return _greedy_sweep(qm.oriented(direction))
     return _sweep(qm, direction, lambda members, radius:
                   _min_cover_of_ball(qm, members, radius, direction))
 

@@ -40,6 +40,7 @@ class Direction(str, Enum):
 
     OUTER looks at distances *from* a center (who the center can reach);
     INNER looks at distances *to* a center (who can reach the center).
+    :meth:`QuasiMetric.oriented` gives both as one matrix of center rows.
     """
 
     OUTER = "outer"
@@ -120,6 +121,14 @@ class QuasiMetric:
 
     def points(self) -> range:
         return range(self.n)
+
+    def oriented(self, direction: Direction) -> np.ndarray:
+        """The matrix whose entry ``[c, x]`` is the distance read for center
+        ``c`` and point ``x``: ``dist`` for OUTER, the zero-copy view
+        ``dist.T`` for INNER.  An INNER ball, cover or scan is the OUTER one
+        of the reversed space, so every kernel indexes this one matrix.
+        """
+        return self.dist if Direction(direction) is Direction.OUTER else self.dist.T
 
 
 @dataclass
@@ -213,6 +222,33 @@ def build_from_digraph(n: int, edges: Iterable[tuple[int, int, float]],
 _MAX_REPORTED = 1000
 
 
+def _triangle_scan(d: np.ndarray, report: ValidationReport,
+                   exempt_infinite_lhs: bool = False) -> None:
+    """Count into ``report`` every triple with ``d[i, j] > (d[i, k] + d[k, j])
+    * (1 + report.tolerance)``, listing the first ``_MAX_REPORTED``.
+
+    An infinite right-hand side is never violated; with
+    ``exempt_infinite_lhs`` neither is an infinite left-hand side.
+    """
+    lhs_ok = np.isfinite(d) if exempt_infinite_lhs else None
+    scale = 1.0 + report.tolerance
+    for k in range(d.shape[0]):
+        rhs = d[:, k][:, None] + d[k, :][None, :]
+        bad = d > rhs * scale
+        bad &= np.isfinite(rhs)
+        if lhs_ok is not None:
+            bad &= lhs_ok
+        if not bad.any():
+            continue
+        for i, j in np.argwhere(bad):
+            report.triangle_count += 1
+            if len(report.triangle_violations) < _MAX_REPORTED:
+                report.triangle_violations.append(
+                    (int(i), int(j), int(k), float(d[i, j]), float(rhs[i, j])))
+            else:
+                report.truncated = True
+
+
 def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationReport:
     """Check the quasi-metric axioms and return a report.
 
@@ -224,7 +260,6 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
     if tolerance is None:
         tolerance = default_tolerance()
     d = qm.dist
-    n = qm.n
     report = ValidationReport(passed=True, tolerance=tolerance)
 
     diag = np.diagonal(d)
@@ -234,21 +269,7 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
     for i, j in neg[:_MAX_REPORTED]:
         report.negative_entries.append((int(i), int(j), float(d[i, j])))
 
-    lhs_ok = np.isfinite(d) if qm.mode is Mode.RELAXED else np.ones_like(d, dtype=bool)
-    for k in range(n):
-        rhs = d[:, k][:, None] + d[k, :][None, :]
-        bad = (d > rhs * (1.0 + tolerance) + 0.0) & lhs_ok
-        # rhs may be inf in relaxed mode; inf rhs can never be violated
-        bad &= np.isfinite(rhs)
-        if not bad.any():
-            continue
-        for i, j in np.argwhere(bad):
-            report.triangle_count += 1
-            if len(report.triangle_violations) < _MAX_REPORTED:
-                report.triangle_violations.append(
-                    (int(i), int(j), int(k), float(d[i, j]), float(rhs[i, j])))
-            else:
-                report.truncated = True
+    _triangle_scan(d, report, exempt_infinite_lhs=qm.mode is Mode.RELAXED)
 
     report.passed = (not report.triangle_violations
                      and not report.negative_entries
@@ -269,8 +290,7 @@ def ball(qm: QuasiMetric, center: int, radius: float, direction: Direction) -> s
         raise ValueError(f"center {center} out of range")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    row = qm.dist[center, :] if direction is Direction.OUTER else qm.dist[:, center]
-    return set(np.nonzero(row <= radius)[0].tolist())
+    return set(np.nonzero(qm.oriented(direction)[center] <= radius)[0].tolist())
 
 
 def set_distance(qm: QuasiMetric, sources: Iterable[int], targets: Iterable[int]) -> float:
@@ -300,52 +320,51 @@ def nearest(qm: QuasiMetric, candidates: Iterable[int],
     INNER minimizes distance from the query to a candidate, OUTER the
     reverse.  Ties break to the lowest candidate id.
     """
-    direction = Direction(direction)
+    cand, reads = _candidate_reads(qm, qm.n, candidates, query, Direction(direction))
+    best = int(np.argmin(reads))  # first minimum: lowest id, cand[0] if all inf
+    return NearestResult(index=cand[best], distance=float(reads[best]),
+                         evaluations=len(cand))
+
+
+def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int],
+                     query, direction: Direction) -> tuple[list[int], np.ndarray]:
+    """Sorted distinct candidates and one oriented distance read for each.
+
+    For a point id ``q`` of ``qm`` the read for candidate ``c`` is
+    ``qm.oriented(direction)[c, q]``.  A :class:`QueryVectors` supplies
+    them itself, from its ``from_query`` side for INNER and its ``to_query``
+    side for OUTER, of length ``n`` or of length ``len(candidates)`` aligned
+    with the sorted candidates; NaN and negative entries are rejected.
+    """
     cand = sorted(set(int(i) for i in candidates))
     if not cand:
         raise ValueError("nearest requires a non-empty candidate set")
     for i in cand:
-        if not (0 <= i < qm.n):
+        if not (0 <= i < n):
             raise ValueError(f"id {i} out of range")
-
     if isinstance(query, QueryVectors):
-        vec = query.from_query if direction is Direction.INNER else query.to_query
         side = "from_query" if direction is Direction.INNER else "to_query"
+        vec = getattr(query, side)
         if vec is None:
             raise ValueError(f"query is missing the {side} side needed for {direction.value}")
-        reader = _query_vector_reader(vec, qm.n, cand)
-    else:
-        q = int(query)
-        if not (0 <= q < qm.n):
-            raise ValueError(f"query id {q} out of range")
-        if direction is Direction.INNER:
-            reader = lambda c: float(qm.dist[q, c])
-        else:
-            reader = lambda c: float(qm.dist[c, q])
-
-    best_id, best_d, evals = -1, math.inf, 0
-    for c in cand:
-        d = reader(c)
-        evals += 1
-        if d < best_d:
-            best_id, best_d = c, d
-    if best_id < 0:  # every candidate at +inf: keep lowest id
-        best_id = cand[0]
-    return NearestResult(index=best_id, distance=best_d, evaluations=evals)
-
-
-def _query_vector_reader(vec: Sequence[float], n: int, cand: list[int]):
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("query vector must be one-dimensional")
-    if arr.shape[0] == n:
-        return lambda c: float(arr[c])
-    if arr.shape[0] == len(cand):
-        pos = {c: i for i, c in enumerate(cand)}
-        return lambda c: float(arr[pos[c]])
-    raise ValueError(
-        f"query vector has length {arr.shape[0]}, expected {n} (space size) "
-        f"or {len(cand)} (candidate count)")
+        arr = np.asarray(vec, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("query vector must be one-dimensional")
+        if arr.shape[0] not in (n, len(cand)):
+            raise ValueError(
+                f"query vector has length {arr.shape[0]}, expected {n} (space size) "
+                f"or {len(cand)} (candidate count)")
+        if np.isnan(arr).any() or (arr < 0).any():
+            raise ValueError(f"query {side} side has a NaN or negative entry")
+        return cand, arr[cand] if arr.shape[0] == n else arr
+    if qm is None:
+        raise ValueError("a point-id query requires the training space")
+    if qm.n != n:
+        raise ValueError(f"space has {qm.n} points, expected {n}")
+    q = int(query)
+    if not (0 <= q < qm.n):
+        raise ValueError(f"query id {q} out of range")
+    return cand, qm.oriented(direction)[cand, q]
 
 
 def transpose(qm: QuasiMetric) -> QuasiMetric:
@@ -379,12 +398,6 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_value(token: str) -> float:
-    if token.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(token)
-
-
 def parse_matrix_text(text: str) -> np.ndarray:
     lines = _data_lines(text)
     if not lines:
@@ -402,7 +415,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
         tokens = line.split()
         if len(tokens) != n:
             raise ValueError(f"row has {len(tokens)} entries, expected {n}")
-        rows.append([_parse_value(t) for t in tokens])
+        rows.append([float(t) for t in tokens])
     return np.array(rows, dtype=np.float64)
 
 
@@ -421,7 +434,7 @@ def parse_edge_list_text(text: str) -> tuple[int, list[tuple[int, int, float]]]:
         tokens = line.split()
         if len(tokens) != 3:
             raise ValueError(f"edge line needs 'u v w', got {line!r}")
-        edges.append((int(tokens[0]), int(tokens[1]), _parse_value(tokens[2])))
+        edges.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
     return n, edges
 
 

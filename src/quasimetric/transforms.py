@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .space import Mode, QuasiMetric, ValidationReport, default_tolerance
+from .space import (Mode, QuasiMetric, ValidationReport, _triangle_scan,
+                    default_tolerance)
 
 
 class SymmetricKind(str, Enum):
@@ -85,7 +86,6 @@ def check_symmetric_axioms(space: SymmetricSpace,
     if tolerance is None:
         tolerance = default_tolerance()
     d = space.dist
-    n = space.n
     report = ValidationReport(passed=True, tolerance=tolerance)
 
     diag = np.diagonal(d)
@@ -99,17 +99,7 @@ def check_symmetric_axioms(space: SymmetricSpace,
             report.symmetry_violations.append(
                 (int(i), int(j), float(d[i, j]), float(d[j, i])))
 
-    for k in range(n):
-        rhs = d[:, k][:, None] + d[k, :][None, :]
-        bad = d > rhs * (1.0 + tolerance)
-        bad &= np.isfinite(rhs)
-        for i, j in np.argwhere(bad):
-            report.triangle_count += 1
-            if len(report.triangle_violations) < 1000:
-                report.triangle_violations.append(
-                    (int(i), int(j), int(k), float(d[i, j]), float(rhs[i, j])))
-            else:
-                report.truncated = True
+    _triangle_scan(d, report)
 
     hard_failures = (report.negative_entries or report.nonzero_diagonal
                      or report.symmetry_violations)

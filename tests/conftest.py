@@ -59,6 +59,17 @@ def brute_min_cover(qm: QuasiMetric, target, candidates, alpha: float,
     return None, None
 
 
+def brute_nearest(qm: QuasiMetric, candidates, q: int, direction: Direction):
+    """(id, distance) of the lowest candidate id at the least distance from
+    query point q (INNER) or to it (OUTER), scanning candidates one by one."""
+    best_id, best_d = None, None
+    for c in sorted(set(candidates)):
+        d = qm.dist[q, c] if direction is Direction.INNER else qm.dist[c, q]
+        if best_id is None or d < best_d:
+            best_id, best_d = c, d
+    return best_id, float(best_d)
+
+
 def brute_max_packing(dist: np.ndarray, members, half: float) -> int:
     """Exhaustive maximum r/2-separated subset of a ball (symmetric dist)."""
     mem = sorted(members)

@@ -192,6 +192,8 @@ class TestPredict:
         with pytest.raises(ValueError, match="space"):
             predict(clone, 0)
         assert predict(clone, 0, space=four_point_sample().space).label == 1
+        with pytest.raises(ValueError, match="space has 5 points, expected 4"):
+            predict(clone, 0, space=build_from_matrix(np.ones((5, 5)) - np.eye(5)))
 
     def test_threshold_boundary_keeps_cover_label(self):
         clf = build_classifier(four_point_sample())

@@ -202,6 +202,11 @@ class TestCover:
         assert rc == 2 and doc is None
         assert "lambda_hat" in cap.err
 
+    def test_nan_eps_is_usage_error(self, cycle8, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2",
+                            "--direction", "outer", "--eps", "nan"], capsys)
+        assert rc == 2 and doc is None and "eps" in cap.err
+
     def test_shuffled_arbitrary_is_seeded(self, cycle8, capsys):
         argv = ["cover", "--input", cycle8, "--alpha", "2", "--direction",
                 "inner", "--algo", "arbitrary", "--order", "shuffled",
@@ -282,6 +287,30 @@ class TestTrainPredict:
         assert "--ids" in cap.err and "id 1" in cap.err
         rc, _, cap = run(predict + ["--ids", "99"], capsys)
         assert rc == 2 and cap.out == "" and "99" in cap.err
+
+    def test_bad_query_vectors_are_usage_errors(self, tmp_path, cycle8, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {'+1' if i < 4 else '-1'}\n" for i in range(8)))
+        clf_path = tmp_path / "clf.json"
+        rc, _, _ = run(["train", "--input", cycle8, "--labels", str(labels),
+                        "--output", str(clf_path)], capsys)
+        assert rc == 0
+        qfile = tmp_path / "queries.txt"
+        predict = ["predict", "--classifier", str(clf_path), "--queries", str(qfile)]
+        qfile.write_text("1\n" + "0 1 2 3 4 5 6 7\n" * 2)
+        rc, _, cap = run(predict, capsys)
+        assert rc == 0 and cap.out.splitlines() == ["0 +1"]
+        for row in ("nan 1 2 3 4 5 6 7", "-5 -5 -5 -5 -5 -5 -5 -5"):
+            qfile.write_text(f"1\n{row}\n{row}\n")
+            rc, _, cap = run(predict, capsys)
+            assert rc == 2 and cap.out == ""
+            assert "NaN or negative" in cap.err
+
+    def test_nan_eps_in_eps_mode_is_usage_error(self, four_point, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+        rc, doc, cap = run(["train", "--input", four_point, "--labels", labels,
+                            "--train-mode", "eps", "--eps", "nan"], capsys)
+        assert rc == 2 and doc is None and "eps" in cap.err
 
     def test_inseparable_sample_exits_one(self, tmp_path, capsys):
         space = tmp_path / "degenerate.txt"

@@ -1,18 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasimetric import (CoverageError, Direction, arbitrary_cover,
+from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
+                         QueryVectors, arbitrary_cover, build_classifier,
                          build_from_matrix, diameter, exact_min_cover, gen_backedge_line,
                          gen_cycle, gen_line, gen_random_bounded, greedy_cover,
-                         greedy_cover_eps, greedy_cover_subset, iterated_cover,
-                         log_star, transpose, verify_cover)
+                         greedy_cover_eps, iterated_cover, log_star, make_sample,
+                         nearest, predict, transpose, verify_cover)
 from quasimetric.cover import min_cover_size_masks
 
 from conftest import brute_min_cover, random_quasimetric
+
+
+_FLIPPED_KIND = {"pos-outer": "pos-inner", "pos-inner": "pos-outer",
+                 "neg-outer": "neg-inner", "neg-inner": "neg-outer"}
 
 
 def corpus(rng, count, n_lo=2, n_hi=12):
@@ -43,7 +49,7 @@ class TestGreedyCover:
 
     def test_subset_cover(self):
         qm = gen_cycle(8).space
-        cov = greedy_cover_subset(qm, range(8), [2, 3], 1.0, Direction.OUTER)
+        cov = greedy_cover(qm, [2, 3], range(8), 1.0, Direction.OUTER)
         assert cov.cover_ids == [2]
         assert cov.assignment == {2: 2, 3: 2}
 
@@ -51,7 +57,7 @@ class TestGreedyCover:
         qm = gen_cycle(8).space
         cov = greedy_cover(qm, range(8), range(8), 2.0, Direction.OUTER)
         assert cov.stats.distance_evaluations == 64
-        sub = greedy_cover_subset(qm, range(8), [2, 3], 1.0, Direction.OUTER)
+        sub = greedy_cover(qm, [2, 3], range(8), 1.0, Direction.OUTER)
         assert sub.stats.distance_evaluations == 16
 
     def test_infeasible_raises_with_ids(self):
@@ -70,12 +76,65 @@ class TestGreedyCover:
             assert ok, offenders
 
     def test_transpose_with_flipped_direction_identical(self, rng):
+        # Criterion 1: each construction on qm in direction d gives what it
+        # gives on transpose(qm) in d.flipped().
         for qm, alpha, direction in corpus(rng, 10):
-            cov = greedy_cover(qm, range(qm.n), range(qm.n), alpha, direction)
-            flipped = greedy_cover(transpose(qm), range(qm.n), range(qm.n),
-                                   alpha, direction.flipped())
-            assert cov.cover_ids == flipped.cover_ids
-            assert cov.assignment == flipped.assignment
+            t, flip, pts = transpose(qm), direction.flipped(), range(qm.n)
+            builds = [
+                lambda s, d: greedy_cover(s, pts, pts, alpha, d),
+                lambda s, d: greedy_cover_eps(s, pts, pts, alpha, d, 0.3),
+                lambda s, d: arbitrary_cover(s, pts, pts, alpha, d),
+                lambda s, d: arbitrary_cover(s, pts, pts, alpha, d,
+                                             order="shuffled", seed=3),
+                lambda s, d: iterated_cover(s, pts, pts, alpha, d, 2.0),
+                # at the diameter the schedule runs, so the final reassignment does
+                lambda s, d: iterated_cover(s, pts, pts, diameter(s), d, 2.0),
+            ]
+            for build in builds:
+                cov, flipped = build(qm, direction), build(t, flip)
+                assert flipped.direction is flip
+                assert cov.to_dict() == {**flipped.to_dict(), "direction": direction.value}
+                for radius in (cov.radius, cov.radius / 2):
+                    assert verify_cover(qm, cov, pts, radius) == \
+                        verify_cover(t, flipped, pts, radius)
+
+            cand = sorted(rng.choice(qm.n, size=max(1, qm.n // 2), replace=False).tolist())
+            for q in pts:
+                qv = QueryVectors(from_query=qm.dist[q].tolist(),
+                                  to_query=qm.dist[:, q].tolist())
+                qv_t = QueryVectors(from_query=qv.to_query, to_query=qv.from_query)
+                res = nearest(qm, cand, q, direction)
+                assert res == nearest(t, cand, q, flip)
+                assert res == nearest(qm, cand, qv, direction)
+                assert res == nearest(t, cand, qv_t, flip)
+
+            if qm.n < 2:
+                continue
+            labels = {i: 1 if i % 2 == 0 else -1 for i in pts}
+            for algorithm in ("greedy", "iterated", "arbitrary"):
+                try:
+                    clf = build_classifier(make_sample(qm, labels), algorithm=algorithm)
+                except DegenerateCandidatesError:
+                    with pytest.raises(DegenerateCandidatesError):
+                        build_classifier(make_sample(t, labels), algorithm=algorithm)
+                    continue
+                clf_t = build_classifier(make_sample(t, labels), algorithm=algorithm)
+                assert (clf_t.margins.rho_pm, clf_t.margins.rho_mp) == \
+                    (clf.margins.rho_mp, clf.margins.rho_pm)
+                # pos-outer on t is pos-inner on qm, and so on
+                mirrored = {c.kind: c.to_dict() for c in clf.candidates}
+                for c in clf_t.candidates:
+                    assert {**c.to_dict(), "kind": _FLIPPED_KIND[c.kind]} == \
+                        mirrored[_FLIPPED_KIND[c.kind]]
+                clf_f = replace(clf, direction=clf.direction.flipped(), space=t)
+                for q in pts:
+                    qv = QueryVectors(from_query=qm.dist[q].tolist(),
+                                      to_query=qm.dist[:, q].tolist())
+                    qv_t = QueryVectors(from_query=qv.to_query, to_query=qv.from_query)
+                    res = predict(clf, q)
+                    assert res.label == labels[q] and res.evaluations == clf.k
+                    assert res == predict(clf_f, q) == predict(clf, qv) == \
+                        predict(clf_f, qv_t)
 
     @given(shift=st.integers(min_value=-3, max_value=8))
     @settings(max_examples=30, deadline=None)

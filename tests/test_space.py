@@ -11,7 +11,7 @@ from quasimetric import (Direction, Mode, QueryVectors, ball, build_from_digraph
 from quasimetric.space import (load_edge_list, load_matrix, parse_matrix_text,
                                save_edge_list, save_matrix)
 
-from conftest import brute_ball, floyd_warshall, random_quasimetric
+from conftest import brute_ball, brute_nearest, floyd_warshall, random_quasimetric
 
 INF = math.inf
 
@@ -210,6 +210,18 @@ class TestNearest:
         res = nearest(uniform, {3, 2}, 0, Direction.OUTER)
         assert res.index == 2
 
+    def test_matches_brute_force_scan(self, rng):
+        spaces = [random_quasimetric(rng, 9, wmax=3), gen_line(7).space]  # ties; inf
+        for qm in spaces:
+            for direction in Direction:
+                for q in range(qm.n):
+                    cand = rng.choice(qm.n, size=int(rng.integers(1, qm.n + 1)),
+                                      replace=False).tolist()
+                    res = nearest(qm, cand, q, direction)
+                    assert (res.index, res.distance) == \
+                        brute_nearest(qm, cand, q, direction)
+                    assert res.evaluations == len(cand)
+
     def test_query_vectors_full_length(self):
         qm = gen_cycle(4).space
         qv = QueryVectors(from_query=[5, 1, 7, 7])
@@ -231,6 +243,24 @@ class TestNearest:
         qm = gen_cycle(4).space
         with pytest.raises(ValueError, match="length"):
             nearest(qm, {0, 1, 2}, QueryVectors(from_query=[1, 2]), Direction.INNER)
+
+    def test_query_vectors_reject_nan_and_negative(self):
+        qm = gen_cycle(4).space
+        bad_sides = ([1, INF, math.nan, 1], [-5, -5, -5, -5], [0, 1, 2, -INF],
+                     [math.nan, 1])  # the last one aligned with the candidates
+        for side in bad_sides:
+            with pytest.raises(ValueError, match="from_query side has a NaN or negative"):
+                nearest(qm, {0, 1}, QueryVectors(from_query=side), Direction.INNER)
+            with pytest.raises(ValueError, match="to_query side has a NaN or negative"):
+                nearest(qm, {0, 1}, QueryVectors(to_query=side), Direction.OUTER)
+        # only the side the direction reads is checked
+        res = nearest(qm, {0, 1}, QueryVectors(from_query=[4, 3, 2, 1],
+                                               to_query=[math.nan] * 4), Direction.INNER)
+        assert (res.index, res.distance, res.evaluations) == (1, 3.0, 2)
+
+    def test_all_infinite_reads_keep_lowest_id(self):
+        res = nearest(gen_line(5).space, {4, 3}, 1, Direction.OUTER)  # d(3, 1) = inf
+        assert (res.index, res.distance, res.evaluations) == (3, INF, 2)
 
 
 class TestTransposeAndSubspace:
@@ -269,6 +299,8 @@ class TestFileFormats:
         save_matrix(path, qm.dist)
         again = load_matrix(path, mode=Mode.RELAXED)
         assert np.array_equal(again.dist, qm.dist)
+        for token in ("inf", "INF", "+Infinity", "infinity"):
+            assert parse_matrix_text(f"2\n0 {token}\n1 0\n")[0, 1] == INF
 
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
