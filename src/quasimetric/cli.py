@@ -137,6 +137,13 @@ def cmd_validate(args) -> int:
 
 def cmd_dimension(args) -> int:
     qm = _load_space(args)
+    # A point at nonzero distance from itself can lie in no half-radius ball,
+    # so the sweep cannot cover its balls: reject the input up front.
+    off = np.flatnonzero(np.diagonal(qm.dist) != 0)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"point {i} has nonzero self-distance {qm.dist[i, i]:g}; "
+                         "dimension needs a zero diagonal")
     if args.constant == "directional":
         if args.direction is None:
             raise ValueError("--direction is required for the directional constant")

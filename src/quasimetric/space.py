@@ -21,8 +21,6 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -188,6 +186,11 @@ def build_from_digraph(n: int, edges: Iterable[tuple[int, int, float]],
     Parallel edges keep the minimum weight.  In strict mode every ordered
     pair must be reachable; in relaxed mode unreachable pairs become +inf.
     """
+    # scipy is imported here, its only use, so commands that never load an
+    # edge list do not pay for importing it.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     mode = Mode(mode)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -225,28 +228,46 @@ _MAX_REPORTED = 1000
 def _triangle_scan(d: np.ndarray, report: ValidationReport,
                    exempt_infinite_lhs: bool = False) -> None:
     """Count into ``report`` every triple with ``d[i, j] > (d[i, k] + d[k, j])
-    * (1 + report.tolerance)``, listing the first ``_MAX_REPORTED``.
+    * (1 + report.tolerance)``, listing the first ``_MAX_REPORTED`` in
+    ``(k, i, j)`` order.
 
-    An infinite right-hand side is never violated; with
+    An infinite or NaN right-hand side is never violated; with
     ``exempt_infinite_lhs`` neither is an infinite left-hand side.
+
+    One min-plus pass finds the pairs ``(i, j)`` violated at the smallest
+    right-hand side.  Since ``x -> x * scale`` stays monotone after rounding
+    for ``scale >= 0``, these include every pair violated at some ``k``; the
+    per-``k`` loop then lists triples over those pairs only.
     """
-    lhs_ok = np.isfinite(d) if exempt_infinite_lhs else None
+    if not report.tolerance >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {report.tolerance}")
     scale = 1.0 + report.tolerance
-    for k in range(d.shape[0]):
-        rhs = d[:, k][:, None] + d[k, :][None, :]
-        bad = d > rhs * scale
-        bad &= np.isfinite(rhs)
-        if lhs_ok is not None:
-            bad &= lhs_ok
-        if not bad.any():
+    n = d.shape[0]
+    best = np.full((n, n), np.inf)
+    tmp = np.empty((n, n))
+    for k in range(n):
+        np.add(d[:, k, None], d[None, k, :], out=tmp)
+        np.fmin(best, tmp, out=best)  # fmin skips a NaN (-inf + inf) sum
+    suspect = d > best * scale
+    del best, tmp
+    if exempt_infinite_lhs:
+        suspect &= np.isfinite(d)
+    ii, jj = np.nonzero(suspect)
+    if not ii.size:
+        return
+    lhs = d[ii, jj]
+    for k in range(n):
+        rhs = d[ii, k] + d[k, jj]
+        hits = np.flatnonzero((lhs > rhs * scale) & np.isfinite(rhs))
+        if not hits.size:
             continue
-        for i, j in np.argwhere(bad):
-            report.triangle_count += 1
-            if len(report.triangle_violations) < _MAX_REPORTED:
-                report.triangle_violations.append(
-                    (int(i), int(j), int(k), float(d[i, j]), float(rhs[i, j])))
-            else:
-                report.truncated = True
+        report.triangle_count += int(hits.size)
+        room = _MAX_REPORTED - len(report.triangle_violations)
+        for t in hits[:room]:
+            report.triangle_violations.append(
+                (int(ii[t]), int(jj[t]), k, float(lhs[t]), float(rhs[t])))
+        if hits.size > room:
+            report.truncated = True
 
 
 def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationReport:
@@ -457,13 +478,16 @@ def format_value(v: float) -> str:
 
 
 def save_matrix(path, matrix, header: Iterable[str] = ()) -> None:
+    """Write a matrix file, each entry as :func:`format_value` writes it."""
     arr = np.asarray(matrix, dtype=np.float64)
+    arr = np.where(np.isneginf(arr), np.inf, arr)  # format_value writes -inf as inf
+    row_format = " ".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(f"{arr.shape[0]}\n")
-        for row in arr:
-            fh.write(" ".join(format_value(v) for v in row) + "\n")
+        for row in arr.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def save_edge_list(path, n: int, edges: Sequence[tuple[int, int, float]],

@@ -3,6 +3,7 @@ own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
 subset enumeration instead of branch and bound."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ def brute_nearest(qm: QuasiMetric, candidates, q: int, direction: Direction):
         if best_id is None or d < best_d:
             best_id, best_d = c, d
     return best_id, float(best_d)
+
+
+def brute_triangle_violations(d, tol: float, exempt_infinite_lhs: bool = False) -> list:
+    """Every ``(i, j, k, lhs, rhs)`` with ``lhs = d[i][j]`` above
+    ``rhs * (1 + tol)`` for a finite ``rhs = d[i][k] + d[k][j]``, in
+    ``(k, i, j)`` order; an infinite ``lhs`` is skipped when exempt.
+    The count is the list's length."""
+    n = len(d)
+    out = []
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                lhs = float(d[i][j])
+                rhs = float(d[i][k]) + float(d[k][j])
+                if exempt_infinite_lhs and math.isinf(lhs):
+                    continue
+                if math.isfinite(rhs) and lhs > rhs * (1 + tol):
+                    out.append((i, j, k, lhs, rhs))
+    return out
 
 
 def brute_max_packing(dist: np.ndarray, members, half: float) -> int:

@@ -79,6 +79,21 @@ class TestValidate:
                        capsys)
         assert rc == 1
 
+    def test_nonzero_diagonal_reported_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "diag.txt"
+        save_matrix(path, [[1, 2], [2, 1]])
+        rc, doc, _ = run(["validate", "--input", str(path)], capsys)
+        assert rc == 1
+        assert doc["report"]["nonzero_diagonal"] == [[0, 1], [1, 1]]
+
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.txt"
+        save_matrix(path, BROKEN)
+        rc, doc, cap = run(["validate", "--input", str(path), "--tolerance", "-2"],
+                           capsys)
+        assert rc == 2 and doc is None
+        assert "tolerance must be non-negative" in cap.err
+
 
 class TestGenRoundTrips:
     @pytest.mark.parametrize("fmt", ["matrix", "edges"])
@@ -153,6 +168,15 @@ class TestDimension:
                           "directional", "--direction", "outer", "--per-ball"],
                          capsys)
         assert rc == 0 and isinstance(doc["estimate"]["per_ball"], list)
+
+    def test_nonzero_diagonal_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "diag.txt"
+        save_matrix(path, [[0, 2, 2], [2, 1, 2], [2, 2, 1]])
+        for argv in (["--constant", "directional", "--direction", "outer"],
+                     ["--constant", "doubling"]):
+            rc, doc, cap = run(["dimension", "--input", str(path)] + argv, capsys)
+            assert rc == 2 and doc is None
+            assert "point 1 has nonzero self-distance 1" in cap.err
 
 
 class TestCover:

@@ -1,17 +1,25 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasimetric import (Direction, Mode, QueryVectors, ball, build_from_digraph,
-                         build_from_matrix, diameter, gen_cycle, gen_line, nearest,
-                         set_distance, subspace, transpose, validate)
-from quasimetric.space import (load_edge_list, load_matrix, parse_matrix_text,
-                               save_edge_list, save_matrix)
+import quasimetric
+from quasimetric import (Direction, Mode, QuasiMetric, QueryVectors, ball,
+                         build_from_digraph, build_from_matrix, check_symmetric_axioms,
+                         diameter, gen_cycle, gen_line, nearest, set_distance, subspace,
+                         to_min_semimetric, transpose, validate)
+from quasimetric.space import (_MAX_REPORTED, format_value, load_edge_list, load_matrix,
+                               parse_matrix_text, save_edge_list, save_matrix)
 
-from conftest import brute_ball, brute_nearest, floyd_warshall, random_quasimetric
+from conftest import (brute_ball, brute_nearest, brute_triangle_violations,
+                      floyd_warshall, random_quasimetric)
 
 INF = math.inf
 
@@ -89,6 +97,49 @@ class TestBuildFromDigraph:
         with pytest.raises(ValueError, match="bad weight"):
             build_from_digraph(2, [(0, 1, -2), (1, 0, 1)])
 
+    def test_cli_import_leaves_scipy_for_the_closure(self, tmp_path):
+        w = np.full((5, 5), INF)
+        edges = [(0, 1, 2.0), (1, 2, 1.5), (2, 0, 4.0), (2, 3, 1.0), (3, 4, 0.5),
+                 (4, 3, 3.0), (1, 0, 7.0)]
+        for u, v, x in edges:
+            w[u, v] = x
+        path = tmp_path / "g.txt"
+        save_edge_list(path, 5, edges)
+        script = (
+            "import json, sys\n"
+            "import quasimetric.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from quasimetric.space import Mode, load_edge_list\n"
+            "qm = load_edge_list(sys.argv[1], mode=Mode.RELAXED)\n"
+            "print(json.dumps([[str(x) for x in row] for row in qm.dist.tolist()]))\n")
+        src = str(Path(quasimetric.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        loaded, closure = proc.stdout.splitlines()
+        assert loaded == "[]"
+        got = np.array([[float(x) for x in row] for row in json.loads(closure)])
+        assert np.array_equal(got, floyd_warshall(w))
+
+
+def parity_matrix(n):
+    """Weight 1 between points of different parity, 3 between the same."""
+    idx = np.arange(n)
+    d = np.where((idx[:, None] + idx[None, :]) % 2 == 0, 3.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def layered_matrix(a, m, b):
+    """Weight-1 edges from a layer A of ``a`` points to K (``m``) and from K
+    to B (``b``), every other off-diagonal entry 3."""
+    d = np.full((a + m + b,) * 2, 3.0)
+    d[:a, a:a + m] = 1.0
+    d[a:a + m, a + m:] = 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
 
 class TestValidate:
     def test_closure_spaces_pass(self, rng):
@@ -130,6 +181,59 @@ class TestValidate:
         d = [[0, 2.0000000001, 1], [1, 0, 1], [1, 1, 0]]
         assert not validate(build_from_matrix(d), tolerance=0.0).passed
         assert validate(build_from_matrix(d), tolerance=1e-6).passed
+
+    def test_negative_or_nan_tolerance_rejected(self):
+        qm = build_from_matrix([[0, 3, 1], [1, 0, 1], [1, 1, 0]])
+        for tol in (-2.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be non-negative"):
+                validate(qm, tolerance=tol)
+            with pytest.raises(ValueError, match="tolerance must be non-negative"):
+                check_symmetric_axioms(to_min_semimetric(qm), tolerance=tol)
+
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=10),
+           relaxed=st.booleans(), closed=st.booleans(),
+           tol=st.sampled_from([0.0, 1e-9, 0.5]))
+    @settings(max_examples=120, deadline=None)
+    def test_triangle_scan_matches_brute_force(self, data, n, relaxed, closed, tol):
+        weights = [1.0, 2.0, 3.0] + ([INF] if relaxed else [])
+        d = np.array(data.draw(st.lists(st.sampled_from(weights),
+                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        d = floyd_warshall(d) if closed else d
+        np.fill_diagonal(d, 0.0)
+        assert_scans_match_brute_force(d, relaxed, tol)
+
+    @pytest.mark.parametrize("d", [
+        # 1800 violations: same-parity pairs (weight 3) via any other-parity
+        # k (1 + 1), so the report is truncated
+        pytest.param(parity_matrix(20), id="parity-1800"),
+        # exactly the |A| * |K| * |B| triples: at the report cap, one past it
+        pytest.param(layered_matrix(10, 10, 10), id="layers-1000"),
+        pytest.param(layered_matrix(7, 11, 13), id="layers-1001"),
+        # hand-built -inf: (0, 2) has a NaN right-hand side via 1
+        # (-inf + inf) and a violation via 3
+        pytest.param(np.array([[0.0, -INF, 5.0, 1.0], [1.0, 0.0, INF, 1.0],
+                               [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]),
+                     id="minus-inf"),
+    ])
+    def test_triangle_scan_pinned_examples(self, d):
+        assert_scans_match_brute_force(d, bool(np.isinf(d).any()), 1e-9)
+
+
+def assert_scans_match_brute_force(d, relaxed, tol):
+    """``validate`` (relaxed when asked) and, on strict input, the symmetric
+    check of the min symmetrization report what the triple loop finds."""
+    def assert_matches(report, oracle):
+        assert report.triangle_count == len(oracle)
+        assert report.triangle_violations == oracle[:_MAX_REPORTED]
+        assert report.truncated == (len(oracle) > _MAX_REPORTED)
+
+    mode = Mode.RELAXED if relaxed else Mode.STRICT
+    assert_matches(validate(QuasiMetric(dist=d, mode=mode), tolerance=tol),
+                   brute_triangle_violations(d, tol, exempt_infinite_lhs=relaxed))
+    if not relaxed:
+        sym = to_min_semimetric(build_from_matrix(d))
+        assert_matches(check_symmetric_axioms(sym, tolerance=tol),
+                       brute_triangle_violations(sym.dist, tol))
 
 
 class TestBall:
@@ -301,6 +405,28 @@ class TestFileFormats:
         assert np.array_equal(again.dist, qm.dist)
         for token in ("inf", "INF", "+Infinity", "infinity"):
             assert parse_matrix_text(f"2\n0 {token}\n1 0\n")[0, 1] == INF
+
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                           min_size=1, max_size=36),
+           header=st.lists(st.text(st.characters(blacklist_categories=["Cs", "Cc"]),
+                                   max_size=8), max_size=3))
+    @example(values=[0.0, -0.0, INF, -INF, math.nan, 5e-324, 1.7976931348623157e308,
+                     0.1, 1 / 3, -2.5e-300, 123456789.0, 1e16, 2.0 ** -1074, -1e22],
+             header=["n = 4", ""])
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_bytes_match_per_value_writer(self, tmp_path_factory, values,
+                                                 header):
+        cols = max(c for c in range(1, 7) if len(values) % c == 0)
+        arr = np.array(values).reshape(-1, cols)
+        base = tmp_path_factory.mktemp("save")
+        save_matrix(base / "new.txt", arr, header=header)
+        with open(base / "old.txt", "w", encoding="utf-8") as fh:
+            for line in header:
+                fh.write(f"# {line}\n")
+            fh.write(f"{arr.shape[0]}\n")
+            for row in arr:
+                fh.write(" ".join(format_value(v) for v in row) + "\n")
+        assert (base / "new.txt").read_bytes() == (base / "old.txt").read_bytes()
 
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
