@@ -41,9 +41,6 @@ class DegenerateCandidatesError(ValueError):
     """Every candidate rule had a zero separation gap at its threshold."""
 
 
-CANDIDATE_KINDS = ("pos-outer", "neg-inner", "pos-inner", "neg-outer")
-
-
 @dataclass(frozen=True)
 class Margins:
     rho_pm: float  # min distance from a positive to a negative
@@ -176,7 +173,7 @@ class CompressedClassifier:
 
 
 _KIND_TABLE = {
-    # kind: (class attr, cover direction, which margin)
+    # kind: (class attr, cover direction, which margin), in tie-break order
     "pos-outer": ("pos", Direction.OUTER, "rho_pm"),
     "neg-inner": ("neg", Direction.INNER, "rho_pm"),
     "pos-inner": ("pos", Direction.INNER, "rho_mp"),
@@ -227,8 +224,7 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
 
     summaries: list[CandidateSummary] = []
     survivors: list[tuple[int, int, dict]] = []  # (size, order, payload)
-    for order, kind in enumerate(CANDIDATE_KINDS):
-        class_key, direction, margin_name = _KIND_TABLE[kind]
+    for order, (kind, (class_key, direction, margin_name)) in enumerate(_KIND_TABLE.items()):
         own = classes[class_key]
         radius = getattr(m, margin_name)
         if algorithm == "greedy" and mode == "consistent":
@@ -247,22 +243,27 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
 
         other = classes["neg" if class_key == "pos" else "pos"]
         own_scores = _cover._distance_to_cover(qm, cov.cover_ids, own, direction)
+        opp_scores = _cover._distance_to_cover(qm, cov.cover_ids, other, direction)
         covered_mask = np.array([i not in cov.uncovered for i in own])
         same_max = float(own_scores[covered_mask].max())
-        opp_min = float(_cover._distance_to_cover(qm, cov.cover_ids, other,
-                                                  direction).min())
+        opp_min = float(opp_scores.min())
         gap = opp_min - same_max
         if gap <= 0:
             summaries.append(CandidateSummary(kind=kind, size=cov.size,
                                               gap=gap, discarded=True))
             continue
         summaries.append(CandidateSummary(kind=kind, size=cov.size, gap=gap))
+        threshold = (same_max + opp_min) / 2.0
+        # The scores are the minima ``predict`` reads, so a training point
+        # is mislabeled exactly when its score falls on the wrong side.
+        errors = int((own_scores > threshold).sum() + (opp_scores <= threshold).sum())
         survivors.append((cov.size, order, {
             "kind": kind,
             "direction": direction,
             "cover_label": +1 if class_key == "pos" else -1,
             "cover_ids": list(cov.cover_ids),
-            "threshold": (same_max + opp_min) / 2.0,
+            "threshold": threshold,
+            "training_error": errors / sample.size,
         }))
 
     if not survivors:
@@ -270,23 +271,8 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
             "no candidate rule separates the classes with a positive gap")
     survivors.sort(key=lambda t: (t[0], t[1]))
     _, _, chosen = survivors[0]
-
-    clf = CompressedClassifier(
-        kind=chosen["kind"], direction=chosen["direction"],
-        cover_label=chosen["cover_label"], cover_ids=chosen["cover_ids"],
-        threshold=chosen["threshold"], margins=m, training_error=0.0,
-        algorithm=algorithm, mode=mode, n=qm.n, eps=eps,
-        candidates=summaries, space=qm)
-
-    errors = 0
-    for i in classes["pos"]:
-        if predict(clf, i).label != +1:
-            errors += 1
-    for i in classes["neg"]:
-        if predict(clf, i).label != -1:
-            errors += 1
-    clf.training_error = errors / sample.size
-    return clf
+    return CompressedClassifier(**chosen, margins=m, algorithm=algorithm, mode=mode,
+                                n=qm.n, eps=eps, candidates=summaries, space=qm)
 
 
 @dataclass(frozen=True)

@@ -166,11 +166,13 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.eps is not None and args.algo != "greedy":
+        raise ValueError(f"--eps applies only to --algo greedy, not {args.algo}")
     qm = _load_space(args)
     direction = Direction(args.direction)
     target = _ids_arg(args.target, qm.n)
     candidates = _ids_arg(args.candidates, qm.n)
-    if args.algo == "greedy" and args.eps is not None:
+    if args.eps is not None:
         result = _cover.greedy_cover_eps(qm, target, candidates, args.alpha,
                                          direction, args.eps)
     elif args.algo == "greedy":

@@ -3,7 +3,8 @@
 An OUTER cover at radius alpha is a set C with dist(C, x) <= alpha for every
 target x; an INNER cover has dist(x, C) <= alpha.  The workhorse is the
 classic greedy set-cover heuristic run over directional balls, which stays
-within a factor ceil(ln |S|) + 1 of the optimum.  On top of it sit an
+within a factor ceil(ln |S|) + 1 of the optimum; its one loop, over packed
+bitsets, also drives the covering-constant sweeps.  On top of it sit an
 epsilon-relaxed variant that may leave a small fraction uncovered, and an
 iterated schedule that first builds coarse covers at fast-shrinking radii
 and then covers the cover, trading a little radius for much less work on
@@ -111,55 +112,101 @@ def _distance_to_cover(qm: QuasiMetric, centers: list[int], points: list[int],
     return qm.oriented(direction)[np.ix_(centers, points)].min(axis=0)
 
 
-def _greedy_engine(qm: QuasiMetric, candidates: list[int], target: list[int],
-                   alpha: float, direction: Direction,
-                   max_uncovered: float) -> Cover:
-    """Greedy max-coverage loop; stops once uncovered count <= max_uncovered.
+def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
+                   radii: list[float], max_uncovered: float = 0.0
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The greedy set-cover loop, run over a batch of packed-bitset entries.
 
-    Candidate ties break to the lowest id.  One distance read is charged per
-    (candidate, target) pair when the coverage table is built.
+    ``covers[b, :, c]`` holds, as 64-bit words, the targets candidate c
+    covers in entry b, and ``active[b]`` the targets to cover there; bit j
+    stands for target ``ids[j]``, and ``radii[b]`` is the radius named when
+    entry b cannot be covered.  Each round picks, per entry, the candidate
+    covering the most active targets (first maximum, so the lowest index
+    wins ties); an entry leaves once at most ``max_uncovered`` of its
+    targets are left.  Returns each round's (entry indices, picks).
+
+    Gains drop by the popcounts of the span of words a round changed, so
+    a round costs O(candidates x that span), not a full recount.
     """
-    covers = _coverage_matrix(qm, candidates, target, alpha, direction)
-    stats = CoverStats(distance_evaluations=len(candidates) * len(target))
-
-    active = np.ones(len(target), dtype=bool)
-    if max_uncovered <= 0 and not covers.any(axis=0).all():
-        missing = {target[i] for i in np.nonzero(~covers.any(axis=0))[0]}
+    limit = int(max_uncovered)  # counts are whole; an int compares faster
+    lost = active & ~np.bitwise_or.reduce(covers, axis=2)
+    stuck = np.flatnonzero(np.bitwise_count(lost).sum(axis=1) > limit)
+    if stuck.size:
+        j = int(stuck[0])
+        missing = set(ids[np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))].tolist())
         raise CoverageError(
             f"{len(missing)} target point(s) lie in no candidate ball at "
-            f"radius {alpha}", uncoverable=missing)
+            f"radius {radii[j]}", uncoverable=missing)
 
-    counts = covers.sum(axis=1).astype(np.int64)
-    cover_ids: list[int] = []
-    assignment: dict[int, int] = {}
-    while active.sum() > max_uncovered:
-        ci = int(np.argmax(counts))  # first max = lowest candidate id
-        if counts[ci] == 0:
-            missing = {target[i] for i in np.nonzero(active)[0]}
-            raise CoverageError(
-                f"cannot reach the requested coverage at radius {alpha}; "
-                f"{len(missing)} point(s) uncoverable", uncoverable=missing)
-        newly = covers[ci] & active
-        for ti in np.nonzero(newly)[0]:
-            assignment[target[ti]] = candidates[ci]
-        active &= ~newly
-        counts -= covers[:, newly].sum(axis=1)
-        cover_ids.append(candidates[ci])
-        stats.iterations += 1
+    # int32 counts halve the memory the per-round gain passes touch.
+    remaining = np.bitwise_count(active).sum(axis=1, dtype=np.int32)
+    gain = np.bitwise_count(covers & active[:, :, None]).sum(axis=1, dtype=np.int32)
+    live = rows = np.arange(len(active))
+    picks = []
+    while True:
+        if remaining.min() <= limit:
+            left = remaining > limit
+            live, covers, active = live[left], covers[left], active[left]
+            gain, remaining = gain[left], remaining[left]
+            if not live.size:
+                return picks
+            rows = np.arange(live.size)
+        best = gain.argmax(axis=1)
+        picks.append((live, best))
+        remaining -= gain[rows, best]
+        newly = covers[rows, :, best] & active
+        active ^= newly
+        # Every live entry covered something, so some word changed; the
+        # words between the first and last changed one are a view, and
+        # those among them left alone subtract nothing.
+        changed = np.bitwise_or.reduce(newly, axis=0).nonzero()[0]
+        span = slice(changed[0], changed[-1] + 1)
+        gain -= np.bitwise_count(covers[:, span] & newly[:, span, None]).sum(
+            axis=1, dtype=np.int32)
 
-    uncovered = {target[i] for i in np.nonzero(active)[0]}
+
+def _cover_from_picks(table: np.ndarray, picks: list[int], candidates: list[int],
+                      target: list[int], alpha: float, direction: Direction,
+                      stats: CoverStats) -> Cover:
+    """The cover made of ``picks`` (rows of the coverage ``table``, in pick
+    order): each target goes to the first pick whose ball holds it, and a
+    target in none of them stays uncovered."""
+    owner = np.full(len(target), -1)
+    for row in reversed(picks):
+        owner[table[row]] = candidates[row]
+    assignment = {target[t]: c for t, c in enumerate(owner.tolist()) if c >= 0}
+    uncovered = {target[t] for t in np.flatnonzero(owner < 0).tolist()}
+    cover_ids = [candidates[r] for r in picks]
     return Cover(direction=direction, radius=alpha, cover_ids=cover_ids,
                  assignment=assignment, uncovered=uncovered, stats=stats)
+
+
+def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
+                  alpha: float, direction: Direction, max_fraction: float) -> Cover:
+    """Greedy cover leaving at most ``max_fraction`` of the target uncovered;
+    one distance read is charged per (candidate, target) pair."""
+    direction = Direction(direction)
+    _check_alpha(alpha)
+    tgt = _clean_ids(qm, target, "target")
+    cand = _clean_ids(qm, candidates, "candidates")
+    table = _coverage_matrix(qm, cand, tgt, alpha, direction)
+    # Whole 64-bit words per candidate row; the zero padding is never active.
+    width = -(-len(tgt) // 64) * 64
+    padded = np.pad(table, ((0, 0), (0, width - len(tgt))))
+    covers = np.packbits(padded, axis=1).view(np.uint64).T[None].copy()
+    active = np.packbits(np.arange(width) < len(tgt)).view(np.uint64)[None]
+    picks = _greedy_rounds(covers, active, np.array(tgt), [alpha],
+                           max_fraction * len(tgt))
+    stats = CoverStats(iterations=len(picks),
+                       distance_evaluations=len(cand) * len(tgt))
+    return _cover_from_picks(table, [int(best[0]) for _, best in picks], cand, tgt,
+                             alpha, direction, stats)
 
 
 def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
                  alpha: float, direction: Direction) -> Cover:
     """Full greedy cover of ``target`` drawing centers from ``candidates``."""
-    direction = Direction(direction)
-    _check_alpha(alpha)
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
-    return _greedy_engine(qm, cand, tgt, alpha, direction, max_uncovered=0)
+    return _greedy_cover(qm, target, candidates, alpha, direction, 0.0)
 
 
 def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
@@ -170,14 +217,9 @@ def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterabl
     with an optimal full cover of size p this takes at most
     p * ceil(ln(1/eps)) rounds.
     """
-    direction = Direction(direction)
     if not (0 < eps < 1):
         raise ValueError("eps must lie strictly between 0 and 1")
-    _check_alpha(alpha)
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
-    return _greedy_engine(qm, cand, tgt, alpha, direction,
-                          max_uncovered=eps * len(tgt))
+    return _greedy_cover(qm, target, candidates, alpha, direction, eps)
 
 
 def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
@@ -198,25 +240,20 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     elif order != "ascending":
         raise ValueError(f"unknown order {order!r}")
 
-    covers = _coverage_matrix(qm, cand, tgt, alpha, direction)
+    table = _coverage_matrix(qm, cand, tgt, alpha, direction)
     stats = CoverStats(distance_evaluations=len(cand) * len(tgt))
     active = np.ones(len(tgt), dtype=bool)
-    cover_ids: list[int] = []
-    assignment: dict[int, int] = {}
-    for ci, c in enumerate(cand):
-        newly = covers[ci] & active
+    picks: list[int] = []
+    for ci in range(len(cand)):
+        newly = table[ci] & active
         stats.iterations += 1
         if not newly.any():
             continue
-        for ti in np.nonzero(newly)[0]:
-            assignment[tgt[ti]] = c
         active &= ~newly
-        cover_ids.append(c)
+        picks.append(ci)
         if not active.any():
             break
-    uncovered = {tgt[i] for i in np.nonzero(active)[0]}
-    return Cover(direction=direction, radius=alpha, cover_ids=cover_ids,
-                 assignment=assignment, uncovered=uncovered, stats=stats)
+    return _cover_from_picks(table, picks, cand, tgt, alpha, direction, stats)
 
 
 def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
@@ -398,17 +435,13 @@ def exact_min_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     exponential in the worst case.
     """
     direction = Direction(direction)
+    _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
     if len(tgt) > size_cap:
         raise ValueError(f"exact cover limited to targets of size <= {size_cap}")
     covers = _coverage_matrix(qm, cand, tgt, alpha, direction)
     universe = (1 << len(tgt)) - 1
-    sets = []
-    for row in covers:
-        mask = 0
-        for ti in np.nonzero(row)[0]:
-            mask |= 1 << int(ti)
-        sets.append(mask)
+    sets = [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in covers]
     size, picked = min_cover_size_masks(universe, sets)
     return size, sorted(cand[i] for i in picked)

@@ -127,8 +127,9 @@ def _greedy_sweep(d: np.ndarray):
 
     Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``,
     computed for all of a center's radii at once: the stably sorted row
-    makes every ball a prefix of one order, and the greedy rounds run over
-    packed bitsets of the targets.  INNER passes ``dist.T``.
+    makes every ball a prefix of one order, and one batch of the greedy
+    kernel covers the chunk's balls, each size being its entry's round
+    count.  INNER passes ``dist.T``.
     """
     n = d.shape[0]
     for center in range(n):
@@ -151,37 +152,11 @@ def _greedy_sweep(d: np.ndarray):
                                  ).view(np.uint64).reshape(rs.size, n, width // 64)
             covers = np.ascontiguousarray(covers.transpose(0, 2, 1))
             active = np.packbits(np.arange(width) < ms[:, None], axis=-1).view(np.uint64)
-            lost = active & ~np.bitwise_or.reduce(covers, axis=2)
-            if lost.any():
-                j = int(np.flatnonzero(lost.any(axis=1))[0])
-                missing = perm[np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))]
-                raise _cover.CoverageError(
-                    f"{missing.size} target point(s) lie in no candidate ball at "
-                    f"radius {float(halves[j])}", uncoverable=set(missing.tolist()))
-            for radius, size in zip(rs.tolist(), _greedy_rounds(covers, active).tolist()):
+            picks = _cover._greedy_rounds(covers, active, perm, halves.tolist())
+            sizes = np.bincount(np.concatenate([live for live, _ in picks]),
+                                minlength=rs.size)
+            for radius, size in zip(rs.tolist(), sizes.tolist()):
                 yield center, radius, size
-
-
-def _greedy_rounds(covers: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Greedy rounds needed to clear each batch entry's ``active`` bits.
-
-    ``covers[b, :, c]`` holds, as 64-bit words, the targets candidate c
-    covers in entry b, and ``active[b]`` the targets still uncovered there.
-    Each round picks, per entry, the candidate covering the most active
-    targets (first maximum, so the lowest id wins ties), as ``greedy_cover``
-    does; entries leave the batch once cleared.
-    """
-    rounds = np.zeros(len(active), dtype=np.int64)
-    live = np.arange(len(active))
-    while live.size:
-        gain = np.bitwise_count(covers & active[:, :, None]).sum(axis=1)
-        picked = covers[np.arange(live.size), :, gain.argmax(axis=1)]
-        active &= ~picked
-        rounds[live] += 1
-        left = active.any(axis=1)
-        if not left.all():
-            live, covers, active = live[left], covers[left], active[left]
-    return rounds
 
 
 def _estimate(rows, quantity: str, method: str,

@@ -145,6 +145,18 @@ def _edge_length(child_depth: int) -> float:
     return 2.0 ** (1 - child_depth)
 
 
+def _fill_toward_root(d: np.ndarray, depth: list[int], parent: list[int]) -> None:
+    """Set ``d[node, ancestor]`` to the length of the path climbing from
+    each tree node to each of its ancestors."""
+    for node in range(1, len(depth)):
+        acc = 0.0
+        walk = node
+        while parent[walk] >= 0:
+            acc += _edge_length(depth[walk])
+            walk = parent[walk]
+            d[node, walk] = acc
+
+
 def gen_hst_toward_root(p: int, branching: int = 2) -> Fixture:
     """Complete tree with all edges pointing at the root, relaxed mode.
 
@@ -160,15 +172,8 @@ def gen_hst_toward_root(p: int, branching: int = 2) -> Fixture:
     total = len(depth)
     d = np.full((total, total), INF)
     np.fill_diagonal(d, 0.0)
-    edges = []
-    for node in range(1, total):
-        edges.append((node, parent[node], _edge_length(depth[node])))
-        acc = 0.0
-        walk = node
-        while parent[walk] >= 0:
-            acc += _edge_length(depth[walk])
-            walk = parent[walk]
-            d[node, walk] = acc
+    _fill_toward_root(d, depth, parent)
+    edges = [(node, parent[node], _edge_length(depth[node])) for node in range(1, total)]
     space = build_from_matrix(d, mode=Mode.RELAXED)
     leaves = list(range(level_start[p], total))
     spec = FixtureSpec(kind="hst-toward-root",
@@ -248,13 +253,7 @@ def gen_nn_lower_bound(p: int) -> Fixture:
     n = n_tree + 1
     d = np.full((n, n), INF)
     np.fill_diagonal(d, 0.0)
-    for node in range(1, n_tree):
-        acc = 0.0
-        walk = node
-        while parent[walk] >= 0:
-            acc += _edge_length(depth[walk])
-            walk = parent[walk]
-            d[node, walk] = acc
+    _fill_toward_root(d, depth, parent)
     delta = 2.0 ** (-(p + 4))
     designated = level_start[p]  # leftmost leaf
     for node in range(n_tree):

@@ -117,9 +117,6 @@ class QuasiMetric:
     def has_infinite(self) -> bool:
         return bool(np.isinf(self.dist).any())
 
-    def points(self) -> range:
-        return range(self.n)
-
     def oriented(self, direction: Direction) -> np.ndarray:
         """The matrix whose entry ``[c, x]`` is the distance read for center
         ``c`` and point ``x``: ``dist`` for OUTER, the zero-copy view
@@ -309,8 +306,8 @@ def ball(qm: QuasiMetric, center: int, radius: float, direction: Direction) -> s
     direction = Direction(direction)
     if not (0 <= center < qm.n):
         raise ValueError(f"center {center} out of range")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    if not radius >= 0:  # also rejects NaN
+        raise ValueError(f"radius must be non-negative, got {radius}")
     return set(np.nonzero(qm.oriented(direction)[center] <= radius)[0].tolist())
 
 

@@ -1,12 +1,14 @@
 """Shared brute-force oracles, deliberately independent of the package's
 own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
-subset enumeration instead of branch and bound."""
+subset enumeration instead of branch and bound, and the greedy rule via
+Python sets instead of packed bitsets."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from quasimetric import Direction, Mode, QuasiMetric, build_from_matrix
 
@@ -60,6 +62,32 @@ def brute_min_cover(qm: QuasiMetric, target, candidates, alpha: float,
     return None, None
 
 
+def brute_greedy_cover(qm: QuasiMetric, target, candidates, alpha: float,
+                       direction: Direction, max_uncovered: float = 0):
+    """The greedy set-cover rule as a plain set loop.
+
+    Each round picks the candidate whose ball holds the most uncovered
+    targets, the lowest id on ties, and assigns it every target it newly
+    covers; rounds stop once at most ``max_uncovered`` targets are left.
+    Returns ``(picks, assignment, uncovered)``, with ``picks`` None when a
+    round can cover nothing more (``uncovered`` is then what is left).
+    """
+    uncovered = set(target)
+    balls = {c: {x for x in uncovered if covers_point(qm, c, x, alpha, direction)}
+             for c in sorted(set(candidates))}
+    picks, assignment = [], {}
+    while len(uncovered) > max_uncovered:
+        best = max(balls, key=lambda c: len(balls[c] & uncovered))  # first max
+        newly = balls[best] & uncovered
+        if not newly:
+            return None, assignment, uncovered
+        picks.append(best)
+        for x in newly:
+            assignment[x] = best
+        uncovered -= newly
+    return picks, assignment, uncovered
+
+
 def brute_nearest(qm: QuasiMetric, candidates, q: int, direction: Direction):
     """(id, distance) of the lowest candidate id at the least distance from
     query point q (INNER) or to it (OUTER), scanning candidates one by one."""
@@ -100,6 +128,17 @@ def brute_max_packing(dist: np.ndarray, members, half: float) -> int:
                    for a, b in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+@st.composite
+def tie_heavy_spaces(draw, allow_relaxed=True):
+    """Closures of integer weights 1-3; relaxed ones also miss edges (inf)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    relaxed = allow_relaxed and draw(st.booleans())
+    weights = [1.0, 2.0, 3.0] + ([math.inf] if relaxed else [])
+    w = draw(st.lists(st.sampled_from(weights), min_size=n * n, max_size=n * n))
+    return build_from_matrix(floyd_warshall(np.array(w).reshape(n, n)),
+                             mode=Mode.RELAXED if relaxed else Mode.STRICT)
 
 
 @pytest.fixture

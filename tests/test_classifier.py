@@ -114,6 +114,26 @@ class TestBuildClassifier:
             assert clf.k == min(survivor_sizes)
         assert built >= 10  # the corpus should mostly be separable
 
+    def test_training_error_is_the_predict_error_rate(self, rng):
+        # eps mode leaves points of the cover's class out, so some of the
+        # built rules mislabel training points
+        built = mislabeling = 0
+        for _ in range(30):
+            qm = random_quasimetric(rng, int(rng.integers(6, 16)))
+            labels = {i: 1 if rng.random() < 0.5 else -1 for i in range(qm.n)}
+            labels[0], labels[1] = 1, -1
+            sample = make_sample(qm, labels)
+            for eps in (0.2, 0.4):
+                try:
+                    clf = build_classifier(sample, mode="eps", eps=eps)
+                except DegenerateCandidatesError:
+                    continue
+                built += 1
+                wrong = sum(predict(clf, i).label != lab for i, lab in labels.items())
+                assert clf.training_error == wrong / len(labels)
+                mislabeling += wrong > 0
+        assert built >= 30 and mislabeling >= 5
+
     def test_noisy_sample_needs_eps_mode(self):
         sample = clustered_noisy_sample()
         with pytest.raises(DegenerateCandidatesError):

@@ -213,6 +213,14 @@ class TestCover:
                           "--target", "7", "--candidates", "0"], capsys)
         assert rc == 1 and "error:" in cap.err
 
+    @pytest.mark.parametrize("algo", ["arbitrary", "iterated"])
+    def test_eps_with_other_algorithm_is_usage_error(self, cycle8, algo, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2",
+                            "--direction", "inner", "--algo", algo, "--eps", "0.3",
+                            "--lambda-hat", "2"], capsys)
+        assert rc == 2 and doc is None
+        assert "--eps" in cap.err
+
     def test_nan_alpha_is_usage_error(self, cycle8, capsys):
         rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "nan",
                             "--direction", "outer"], capsys)

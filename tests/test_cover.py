@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
@@ -14,7 +14,8 @@ from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
                          nearest, predict, transpose, verify_cover)
 from quasimetric.cover import min_cover_size_masks
 
-from conftest import brute_min_cover, random_quasimetric
+from conftest import (brute_greedy_cover, brute_min_cover, random_quasimetric,
+                      tie_heavy_spaces)
 
 
 _FLIPPED_KIND = {"pos-outer": "pos-inner", "pos-inner": "pos-outer",
@@ -32,6 +33,41 @@ def corpus(rng, count, n_lo=2, n_hi=12):
         direction = Direction.OUTER if i % 2 == 0 else Direction.INNER
         out.append((qm, alpha, direction))
     return out
+
+
+@st.composite
+def cover_instances(draw):
+    """A tie-heavy space, a target, candidates, and a radius among its sums."""
+    qm = draw(tie_heavy_spaces())
+    ids = st.integers(min_value=0, max_value=qm.n - 1)
+    target = sorted(draw(st.sets(ids, min_size=1)))
+    candidates = sorted(draw(st.sets(ids, min_size=1)))
+    alpha = draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]))
+    return qm, target, candidates, alpha
+
+
+def assert_greedy_matches_oracle(qm, target, candidates, alpha, direction, eps):
+    """``greedy_cover`` (eps None) or ``greedy_cover_eps`` gives the set
+    oracle's picks, assignment, leftovers and rounds, or its failure."""
+    if eps is None:
+        build = lambda: greedy_cover(qm, target, candidates, alpha, direction)
+    else:
+        build = lambda: greedy_cover_eps(qm, target, candidates, alpha, direction, eps)
+    picks, assignment, uncovered = brute_greedy_cover(
+        qm, target, candidates, alpha, direction, 0 if eps is None else eps * len(target))
+    if picks is None:
+        with pytest.raises(CoverageError, match="lie in no candidate ball") as err:
+            build()
+        assert err.value.uncoverable == uncovered
+        return
+    assert build().to_dict() == {
+        "direction": direction.value, "radius": alpha, "size": len(picks),
+        "cover_ids": picks,
+        "assignment": {str(k): v for k, v in sorted(assignment.items())},
+        "uncovered": sorted(uncovered),
+        "stats": {"iterations": len(picks),
+                  "distance_evaluations": len(set(target)) * len(set(candidates)),
+                  "fallback": False, "radius_schedule": []}}
 
 
 class TestGreedyCover:
@@ -152,6 +188,30 @@ class TestGreedyCover:
         cov = greedy_cover(qm, range(4), range(4), 0.0, Direction.INNER)
         assert cov.size == 4
 
+    @given(instance=cover_instances(), direction=st.sampled_from(list(Direction)),
+           eps=st.sampled_from([None, 0.3, 0.5]))
+    # alpha 0 on the 4-cycle: every ball is its own center, so eps 0.5
+    # stops after exactly two picks with two targets left
+    @example(instance=(gen_cycle(4).space, [0, 1, 2, 3], [0, 1, 2, 3], 0.0),
+             direction=Direction.OUTER, eps=0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_oracle(self, instance, direction, eps):
+        assert_greedy_matches_oracle(*instance, direction, eps)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_matches_set_oracle_across_words(self, direction):
+        # A ring's balls are id intervals; relabeling scatters them over
+        # the five 64-bit words of 300 targets, so rounds change some words
+        # and leave others, and the kernel's gain update must skip only
+        # the words left alone.
+        ring = gen_random_bounded(300, 5).space
+        perm = np.random.default_rng(11).permutation(300)
+        qm = build_from_matrix(ring.dist[np.ix_(perm, perm)])
+        for alpha, eps in [(0.0, None), (10.0, None), (20.0, None), (30.0, None),
+                           (20.0, 0.3)]:
+            assert_greedy_matches_oracle(qm, range(300), range(300), alpha,
+                                         direction, eps)
+
     def test_nan_and_negative_alpha_rejected_by_every_construction(self):
         qm = gen_cycle(4).space
         builds = [
@@ -159,6 +219,7 @@ class TestGreedyCover:
             lambda a: greedy_cover_eps(qm, range(4), range(4), a, Direction.INNER, 0.5),
             lambda a: arbitrary_cover(qm, range(4), range(4), a, Direction.INNER),
             lambda a: iterated_cover(qm, range(4), range(4), a, Direction.INNER, 2.0),
+            lambda a: exact_min_cover(qm, range(4), range(4), a, Direction.INNER),
         ]
         for build in builds:
             with pytest.raises(ValueError, match="nan"):

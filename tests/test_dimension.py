@@ -5,37 +5,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasimetric import (CoverageError, Direction, Mode, build_from_matrix,
+from quasimetric import (CoverageError, Direction, build_from_matrix,
                          density_constant, directional_constant, doubling_constant,
                          gen_backedge_line, gen_cycle, gen_hst_toward_root,
                          gen_random_bounded, gen_spoke_subset, greedy_cover, log_iter,
                          log_star, to_max_metric, to_min_semimetric, transpose)
 from quasimetric import dimension
 
-from conftest import (brute_ball, brute_max_packing, brute_min_cover, floyd_warshall,
-                      random_quasimetric)
-
-
-@st.composite
-def tie_heavy_spaces(draw, allow_relaxed=True):
-    """Closures of integer weights 1-3; relaxed ones also miss edges (inf)."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    relaxed = allow_relaxed and draw(st.booleans())
-    weights = [1.0, 2.0, 3.0] + ([math.inf] if relaxed else [])
-    w = draw(st.lists(st.sampled_from(weights), min_size=n * n, max_size=n * n))
-    return build_from_matrix(floyd_warshall(np.array(w).reshape(n, n)),
-                             mode=Mode.RELAXED if relaxed else Mode.STRICT)
+from conftest import (brute_ball, brute_greedy_cover, brute_max_packing, brute_min_cover,
+                      random_quasimetric, tie_heavy_spaces)
 
 
 def greedy_reference(qm, direction):
-    """Per-ball rows from one public ``greedy_cover`` call per critical ball."""
+    """Per-ball rows from one set-based greedy oracle run per critical ball."""
     d = qm.dist if direction is Direction.OUTER else qm.dist.T
     rows = []
     for center in range(qm.n):
         for radius in sorted({float(v) for v in d[center] if 0 < v < math.inf}):
             members = brute_ball(qm, center, radius, direction)
-            cov = greedy_cover(qm, members, range(qm.n), radius / 2, direction)
-            rows.append((center, radius, cov.size))
+            picks, _, _ = brute_greedy_cover(qm, members, range(qm.n), radius / 2,
+                                             direction)
+            rows.append((center, radius, len(picks)))
     return rows
 
 

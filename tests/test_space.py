@@ -269,6 +269,8 @@ class TestBall:
             ball(qm, 9, 1, Direction.OUTER)
         with pytest.raises(ValueError):
             ball(qm, 0, -1, Direction.OUTER)
+        with pytest.raises(ValueError, match="nan"):
+            ball(qm, 0, math.nan, Direction.OUTER)
 
 
 class TestSetDistanceAndDiameter:
