@@ -29,8 +29,8 @@ import numpy as np
 
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, Mode, QuasiMetric, _candidate_reads, set_distance,
-                    subspace)
+from .space import (Direction, Mode, QuasiMetric, _candidate_reads, _data_lines,
+                    set_distance, subspace)
 
 
 class InseparableSampleError(ValueError):
@@ -394,12 +394,10 @@ def bound_agnostic(n: int, k: int, delta: float, eps: float,
 # `#` starts a comment.
 # ---------------------------------------------------------------------------
 
-def parse_labels_text(text: str) -> dict[int, int]:
+def parse_labels_text(source) -> dict[int, int]:
+    """Labels from a `str` or an open text file of lines `id +1` / `id -1`."""
     labels: dict[int, int] = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for stripped in _data_lines(source):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"label line needs 'id label', got {stripped!r}")
@@ -417,7 +415,7 @@ def parse_labels_text(text: str) -> dict[int, int]:
 
 def load_labels(path) -> dict[int, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_labels_text(fh.read())
+        return parse_labels_text(fh)
 
 
 def save_labels(path, labels: Mapping[int, int]) -> None:

@@ -23,9 +23,9 @@ from . import cover as _cover
 from . import dimension as _dimension
 from . import fixtures as _fixtures
 from . import transforms as _transforms
-from .space import (Direction, Mode, QuasiMetric, QueryVectors, diameter,
-                    load_edge_list, load_matrix, nearest, save_edge_list, save_matrix,
-                    validate)
+from .space import (Direction, Mode, QuasiMetric, QueryVectors, _data_lines, _first_line,
+                    _parse_records, diameter, load_edge_list, load_matrix, nearest,
+                    save_edge_list, save_matrix, validate)
 
 SCHEMA = 1
 
@@ -75,12 +75,10 @@ def table(headers: list[str], rows: list[list]) -> None:
 
 def _sniff_format(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            return "matrix" if len(stripped.split()) == 1 else "edges"
-    raise ValueError(f"{path} has no data lines")
+        first = next(_data_lines(fh), None)
+    if first is None:
+        raise ValueError(f"{path} has no data lines")
+    return "matrix" if len(first.split()) == 1 else "edges"
 
 
 def _load_space(args) -> QuasiMetric:
@@ -243,7 +241,7 @@ def cmd_predict(args) -> int:
     lines = []
     if args.queries:
         with open(args.queries, "r", encoding="utf-8") as fh:
-            queries = parse_queries_text(fh.read(), clf.n)
+            queries = parse_queries_text(fh, clf.n)
         for qi, qv in enumerate(queries):
             res = _classifier.predict(clf, qv)
             lines.append((qi, res.label))
@@ -268,33 +266,29 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def parse_queries_text(text: str, n: int) -> list[QueryVectors]:
-    """Query file: first line q, then two lines per query (from side, to side).
+def parse_queries_text(source, n: int) -> list[QueryVectors]:
+    """Query file, as a `str` or an open text file: first line q, then two
+    lines per query (from side, to side).
 
     Each side is n values or the single token `-` when that orientation is
-    unavailable.
+    unavailable; a given side becomes a float64 array.
     """
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
-        raise ValueError("empty queries file")
-    q = int(lines[0])
-    if len(lines) != 1 + 2 * q:
-        raise ValueError(f"expected {2 * q} side lines for {q} queries, "
-                         f"found {len(lines) - 1}")
-    out = []
-    for qi in range(q):
-        sides = []
-        for side_line in (lines[1 + 2 * qi], lines[2 + 2 * qi]):
-            if side_line == "-":
-                sides.append(None)
-                continue
-            vals = [float(tok) for tok in side_line.split()]
-            if len(vals) != n:
-                raise ValueError(f"query side has {len(vals)} values, expected {n}")
-            sides.append(vals)
-        out.append(QueryVectors(from_query=sides[0], to_query=sides[1]))
-    return out
+    first, lines = _first_line(source, "queries")
+    q = int(first)
+
+    def side(line: str) -> Optional[np.ndarray]:
+        if line == "-":
+            return None
+        tokens = line.split()
+        vals = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        if len(tokens) != n:
+            raise ValueError(f"query side has {len(tokens)} values, expected {n}")
+        return vals
+
+    sides = _parse_records(lines, 2 * q, side, lambda found: (
+        f"expected {2 * q} side lines for {q} queries, found {found}"))
+    return [QueryVectors(from_query=frm, to_query=to)
+            for frm, to in zip(sides[::2], sides[1::2])]
 
 
 def cmd_bound(args) -> int:

@@ -113,7 +113,7 @@ def _distance_to_cover(qm: QuasiMetric, centers: list[int], points: list[int],
 
 
 def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
-                   radii: list[float], max_uncovered: float = 0.0
+                   radii: list[float], max_uncovered: int = 0
                    ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The greedy set-cover loop, run over a batch of packed-bitset entries.
 
@@ -128,9 +128,8 @@ def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
     Gains drop by the popcounts of the span of words a round changed, so
     a round costs O(candidates x that span), not a full recount.
     """
-    limit = int(max_uncovered)  # counts are whole; an int compares faster
     lost = active & ~np.bitwise_or.reduce(covers, axis=2)
-    stuck = np.flatnonzero(np.bitwise_count(lost).sum(axis=1) > limit)
+    stuck = np.flatnonzero(np.bitwise_count(lost).sum(axis=1) > max_uncovered)
     if stuck.size:
         j = int(stuck[0])
         missing = set(ids[np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))].tolist())
@@ -144,8 +143,8 @@ def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
     live = rows = np.arange(len(active))
     picks = []
     while True:
-        if remaining.min() <= limit:
-            left = remaining > limit
+        if remaining.min() <= max_uncovered:
+            left = remaining > max_uncovered
             live, covers, active = live[left], covers[left], active[left]
             gain, remaining = gain[left], remaining[left]
             if not live.size:
@@ -184,7 +183,13 @@ def _cover_from_picks(table: np.ndarray, picks: list[int], candidates: list[int]
 def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
                   alpha: float, direction: Direction, max_fraction: float) -> Cover:
     """Greedy cover leaving at most ``max_fraction`` of the target uncovered;
-    one distance read is charged per (candidate, target) pair."""
+    one distance read is charged per (candidate, target) pair.
+
+    The allowance is the largest whole count ``a`` with ``a / len(target) <=
+    max_fraction``.  Division rounds correctly, so 0.29 of 100 targets
+    allows 29, though the product ``0.29 * 100`` rounds down to
+    28.999999999999996.
+    """
     direction = Direction(direction)
     _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
@@ -195,8 +200,12 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
     padded = np.pad(table, ((0, 0), (0, width - len(tgt))))
     covers = np.packbits(padded, axis=1).view(np.uint64).T[None].copy()
     active = np.packbits(np.arange(width) < len(tgt)).view(np.uint64)[None]
-    picks = _greedy_rounds(covers, active, np.array(tgt), [alpha],
-                           max_fraction * len(tgt))
+    allowance = math.floor(max_fraction * len(tgt))  # at most one off
+    if (allowance + 1) / len(tgt) <= max_fraction:
+        allowance += 1
+    elif allowance / len(tgt) > max_fraction:
+        allowance -= 1
+    picks = _greedy_rounds(covers, active, np.array(tgt), [alpha], allowance)
     stats = CoverStats(iterations=len(picks),
                        distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(table, [int(best[0]) for _, best in picks], cand, tgt,
@@ -213,7 +222,8 @@ def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterabl
                      alpha: float, direction: Direction, eps: float) -> Cover:
     """Greedy cover allowed to leave at most an eps fraction of the target.
 
-    Stops as soon as the uncovered count drops to eps * |target| or below;
+    Stops as soon as the uncovered count drops to eps * |target| or below
+    (the largest whole count ``a`` with ``a / |target| <= eps``);
     with an optimal full cover of size p this takes at most
     p * ceil(ln(1/eps)) rounds.
     """

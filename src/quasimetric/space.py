@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -221,6 +221,20 @@ def build_from_digraph(n: int, edges: Iterable[tuple[int, int, float]],
 
 _MAX_REPORTED = 1000
 
+# Element budget of one row block of the min-plus pass: the block's running
+# minima and its scratch sums (256 KB each) stay in a core's L2 cache.
+_SCAN_BLOCK_CAP = 1 << 15
+
+
+def _checked_tolerance(tolerance: Optional[float]) -> float:
+    """``tolerance``, or :func:`default_tolerance` when None; NaN and
+    negative values are rejected."""
+    if tolerance is None:
+        tolerance = default_tolerance()
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+    return tolerance
+
 
 def _triangle_scan(d: np.ndarray, report: ValidationReport,
                    exempt_infinite_lhs: bool = False) -> None:
@@ -231,40 +245,44 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
     An infinite or NaN right-hand side is never violated; with
     ``exempt_infinite_lhs`` neither is an infinite left-hand side.
 
-    One min-plus pass finds the pairs ``(i, j)`` violated at the smallest
-    right-hand side.  Since ``x -> x * scale`` stays monotone after rounding
-    for ``scale >= 0``, these include every pair violated at some ``k``; the
-    per-``k`` loop then lists triples over those pairs only.
+    One min-plus pass, a block of rows at a time, finds the pairs ``(i, j)``
+    violated at the smallest right-hand side.  Since ``x -> x * scale``
+    stays monotone after rounding for ``scale >= 0``, these include every
+    pair violated at some ``k``; the per-``k`` loop then lists triples over
+    those pairs only.
     """
-    if not report.tolerance >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {report.tolerance}")
     scale = 1.0 + report.tolerance
     n = d.shape[0]
-    best = np.full((n, n), np.inf)
-    tmp = np.empty((n, n))
-    for k in range(n):
-        np.add(d[:, k, None], d[None, k, :], out=tmp)
-        np.fmin(best, tmp, out=best)  # fmin skips a NaN (-inf + inf) sum
-    suspect = d > best * scale
-    del best, tmp
-    if exempt_infinite_lhs:
-        suspect &= np.isfinite(d)
-    ii, jj = np.nonzero(suspect)
-    if not ii.size:
-        return
-    lhs = d[ii, jj]
-    for k in range(n):
-        rhs = d[ii, k] + d[k, jj]
-        hits = np.flatnonzero((lhs > rhs * scale) & np.isfinite(rhs))
-        if not hits.size:
-            continue
-        report.triangle_count += int(hits.size)
-        room = _MAX_REPORTED - len(report.triangle_violations)
-        for t in hits[:room]:
-            report.triangle_violations.append(
-                (int(ii[t]), int(jj[t]), k, float(lhs[t]), float(rhs[t])))
-        if hits.size > room:
-            report.truncated = True
+    rows = min(n, max(1, _SCAN_BLOCK_CAP // n))
+    best_buf, sums_buf = np.empty((rows, n)), np.empty((rows, n))
+    suspect = np.empty((n, n), dtype=bool)
+    with np.errstate(invalid="ignore"):  # -inf + inf is NaN: never a violation
+        for r0 in range(0, n, rows):
+            block = d[r0:r0 + rows]
+            best, sums = best_buf[:len(block)], sums_buf[:len(block)]
+            best.fill(np.inf)
+            for k in range(n):
+                np.add(block[:, k, None], d[None, k, :], out=sums)
+                np.fmin(best, sums, out=best)  # fmin skips a NaN sum
+            np.greater(block, best * scale, out=suspect[r0:r0 + rows])
+        if exempt_infinite_lhs:
+            suspect &= np.isfinite(d)
+        ii, jj = np.nonzero(suspect)
+        if not ii.size:
+            return
+        lhs = d[ii, jj]
+        for k in range(n):
+            rhs = d[ii, k] + d[k, jj]
+            hits = np.flatnonzero((lhs > rhs * scale) & np.isfinite(rhs))
+            if not hits.size:
+                continue
+            report.triangle_count += int(hits.size)
+            room = _MAX_REPORTED - len(report.triangle_violations)
+            for t in hits[:room]:
+                report.triangle_violations.append(
+                    (int(ii[t]), int(jj[t]), k, float(lhs[t]), float(rhs[t])))
+            if hits.size > room:
+                report.truncated = True
 
 
 def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationReport:
@@ -275,10 +293,8 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
     ``tolerance``.  In relaxed mode, rows where the left-hand side is
     infinite are exempt.  Updates ``qm.validated``.
     """
-    if tolerance is None:
-        tolerance = default_tolerance()
     d = qm.dist
-    report = ValidationReport(passed=True, tolerance=tolerance)
+    report = ValidationReport(passed=True, tolerance=_checked_tolerance(tolerance))
 
     diag = np.diagonal(d)
     for i in np.nonzero(diag != 0)[0]:
@@ -340,12 +356,12 @@ def nearest(qm: QuasiMetric, candidates: Iterable[int],
     """
     cand, reads = _candidate_reads(qm, qm.n, candidates, query, Direction(direction))
     best = int(np.argmin(reads))  # first minimum: lowest id, cand[0] if all inf
-    return NearestResult(index=cand[best], distance=float(reads[best]),
+    return NearestResult(index=int(cand[best]), distance=float(reads[best]),
                          evaluations=len(cand))
 
 
 def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int],
-                     query, direction: Direction) -> tuple[list[int], np.ndarray]:
+                     query, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct candidates and one oriented distance read for each.
 
     For a point id ``q`` of ``qm`` the read for candidate ``c`` is
@@ -353,13 +369,19 @@ def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int
     them itself, from its ``from_query`` side for INNER and its ``to_query``
     side for OUTER, of length ``n`` or of length ``len(candidates)`` aligned
     with the sorted candidates; NaN and negative entries are rejected.
+    An out-of-range candidate is reported by its least id.
     """
-    cand = sorted(set(int(i) for i in candidates))
-    if not cand:
+    ids = list(candidates)
+    if not ids:
         raise ValueError("nearest requires a non-empty candidate set")
-    for i in cand:
-        if not (0 <= i < n):
-            raise ValueError(f"id {i} out of range")
+    try:
+        cand = np.sort(np.fromiter(ids, np.int64, len(ids)))
+    except OverflowError:  # an id beyond int64; exact ints sort and compare alike
+        cand = np.sort(np.array([int(i) for i in ids], dtype=object))
+    cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+    if cand[0] < 0 or cand[-1] >= n:
+        bad = cand[0] if cand[0] < 0 else cand[np.searchsorted(cand, n)]
+        raise ValueError(f"id {int(bad)} out of range")
     if isinstance(query, QueryVectors):
         side = "from_query" if direction is Direction.INNER else "to_query"
         vec = getattr(query, side)
@@ -405,66 +427,100 @@ def subspace(qm: QuasiMetric, ids: Iterable[int]) -> QuasiMetric:
 # File formats.  Matrix files: first line n, then n whitespace-separated rows;
 # the token `inf` (any case) marks an unreachable pair.  Edge lists: first
 # line `n m`, then m lines `u v w`.  Lines starting with `#` are comments.
+# Parsers take the text as a `str` or an open text file and read it one line
+# at a time, so a file is never held whole.
 # ---------------------------------------------------------------------------
 
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append(stripped)
-    return out
+def _data_lines(source) -> Iterator[str]:
+    """The stripped lines of ``source`` that are neither blank nor comments.
+
+    Each chunk (the whole string, or one line of the file) is split with
+    ``str.splitlines()``, so every line boundary it knows ends a line.
+    """
+    for chunk in (source,) if isinstance(source, str) else source:
+        for line in chunk.splitlines():
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield stripped
 
 
-def parse_matrix_text(text: str) -> np.ndarray:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("empty matrix file")
+def _first_line(source, what: str) -> tuple[str, Iterator[str]]:
+    """The first data line of ``source`` and an iterator over the rest."""
+    lines = _data_lines(source)
+    first = next(lines, None)
+    if first is None:
+        raise ValueError(f"empty {what} file")
+    return first, lines
+
+
+def _parse_records(lines: Iterator[str], expected: int, parse: Callable[[str], object],
+                   count_error: Callable[[int], str]) -> list:
+    """``parse`` of each remaining line, of which there must be ``expected``.
+
+    A wrong line count is raised (as ``count_error(found)``) ahead of the
+    first line ``parse`` rejects.  Nothing is sized by ``expected``, so a
+    header claiming a huge count costs nothing, and lines past it are
+    counted but not parsed.
+    """
+    records, error, found = [], None, 0
+    for line in lines:
+        found += 1
+        if error is None and found <= expected:
+            try:
+                records.append(parse(line))
+            except ValueError as exc:
+                error = exc
+    if found != expected:
+        raise ValueError(count_error(found))
+    if error is not None:
+        raise error
+    return records
+
+
+def parse_matrix_text(source) -> np.ndarray:
+    first, lines = _first_line(source, "matrix")
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError as exc:
-        raise ValueError(f"first line must be the point count, got {lines[0]!r}") from exc
+        raise ValueError(f"first line must be the point count, got {first!r}") from exc
     if n < 1:
         raise ValueError("point count must be at least 1")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
+
+    def row(line: str) -> np.ndarray:
         tokens = line.split()
         if len(tokens) != n:
             raise ValueError(f"row has {len(tokens)} entries, expected {n}")
-        rows.append([float(t) for t in tokens])
-    return np.array(rows, dtype=np.float64)
+        return np.fromiter(map(float, tokens), np.float64, n)
+
+    rows = _parse_records(lines, n, row, lambda found: f"expected {n} matrix rows, found {found}")
+    return np.array(rows)
 
 
-def parse_edge_list_text(text: str) -> tuple[int, list[tuple[int, int, float]]]:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("empty edge-list file")
-    head = lines[0].split()
+def parse_edge_list_text(source) -> tuple[int, list[tuple[int, int, float]]]:
+    first, lines = _first_line(source, "edge-list")
+    head = first.split()
     if len(head) != 2:
-        raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"first line must be 'n m', got {first!r}")
     n, m = int(head[0]), int(head[1])
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
+
+    def edge(line: str) -> tuple[int, int, float]:
         tokens = line.split()
         if len(tokens) != 3:
             raise ValueError(f"edge line needs 'u v w', got {line!r}")
-        edges.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
-    return n, edges
+        return int(tokens[0]), int(tokens[1]), float(tokens[2])
+
+    return n, _parse_records(lines, m, edge, lambda found: f"expected {m} edges, found {found}")
 
 
 def load_matrix(path, mode: Mode = Mode.STRICT) -> QuasiMetric:
     with open(path, "r", encoding="utf-8") as fh:
-        matrix = parse_matrix_text(fh.read())
+        matrix = parse_matrix_text(fh)
     return build_from_matrix(matrix, mode=mode)
 
 
 def load_edge_list(path, mode: Mode = Mode.STRICT) -> QuasiMetric:
     with open(path, "r", encoding="utf-8") as fh:
-        n, edges = parse_edge_list_text(fh.read())
+        n, edges = parse_edge_list_text(fh)
     return build_from_digraph(n, edges, mode=mode)
 
 

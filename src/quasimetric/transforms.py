@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .space import (Mode, QuasiMetric, ValidationReport, _triangle_scan,
-                    default_tolerance)
+from .space import Mode, QuasiMetric, ValidationReport, _checked_tolerance, _triangle_scan
 
 
 class SymmetricKind(str, Enum):
@@ -83,8 +82,7 @@ def check_symmetric_axioms(space: SymmetricSpace,
     Triangle violations fail a METRIC space; for a SEMIMETRIC they are
     recorded in the report but do not affect ``passed``.
     """
-    if tolerance is None:
-        tolerance = default_tolerance()
+    tolerance = _checked_tolerance(tolerance)  # before isclose can warn on it
     d = space.dist
     report = ValidationReport(passed=True, tolerance=tolerance)
 

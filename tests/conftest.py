@@ -1,7 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the package's
 own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
-subset enumeration instead of branch and bound, and the greedy rule via
-Python sets instead of packed bitsets."""
+subset enumeration instead of branch and bound, the greedy rule via
+Python sets instead of packed bitsets, and the file parsers over the whole
+text instead of one line at a time."""
 
 import itertools
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from quasimetric import Direction, Mode, QuasiMetric, build_from_matrix
+from quasimetric import Direction, Mode, QuasiMetric, QueryVectors, build_from_matrix
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -128,6 +129,79 @@ def brute_max_packing(dist: np.ndarray, members, half: float) -> int:
                    for a, b in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+def whole_text_lines(text: str) -> list:
+    """Every stripped line of ``text`` that is neither blank nor a comment."""
+    return [ln.strip() for ln in text.splitlines()
+            if ln.strip() and not ln.strip().startswith("#")]
+
+
+def whole_text_matrix(text: str) -> np.ndarray:
+    """A matrix file's text parsed whole: all lines counted, then every row
+    converted to a list of floats."""
+    lines = whole_text_lines(text)
+    if not lines:
+        raise ValueError("empty matrix file")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"first line must be the point count, got {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError("point count must be at least 1")
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ValueError(f"row has {len(tokens)} entries, expected {n}")
+        rows.append([float(t) for t in tokens])
+    return np.array(rows, dtype=np.float64)
+
+
+def whole_text_edge_list(text: str):
+    """An edge list's text parsed whole: ``(n, [(u, v, w), ...])``."""
+    lines = whole_text_lines(text)
+    if not lines:
+        raise ValueError("empty edge-list file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    if len(lines) != m + 1:
+        raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
+    edges = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ValueError(f"edge line needs 'u v w', got {line!r}")
+        edges.append((int(tokens[0]), int(tokens[1]), float(tokens[2])))
+    return n, edges
+
+
+def whole_text_queries(text: str, n: int) -> list:
+    """A query file's text parsed whole, each given side a list of floats."""
+    lines = whole_text_lines(text)
+    if not lines:
+        raise ValueError("empty queries file")
+    q = int(lines[0])
+    if len(lines) != 1 + 2 * q:
+        raise ValueError(f"expected {2 * q} side lines for {q} queries, "
+                         f"found {len(lines) - 1}")
+    out = []
+    for qi in range(q):
+        sides = []
+        for side_line in (lines[1 + 2 * qi], lines[2 + 2 * qi]):
+            if side_line == "-":
+                sides.append(None)
+                continue
+            vals = [float(tok) for tok in side_line.split()]
+            if len(vals) != n:
+                raise ValueError(f"query side has {len(vals)} values, expected {n}")
+            sides.append(vals)
+        out.append(QueryVectors(from_query=sides[0], to_query=sides[1]))
+    return out
 
 
 @st.composite

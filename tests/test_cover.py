@@ -53,8 +53,10 @@ def assert_greedy_matches_oracle(qm, target, candidates, alpha, direction, eps):
         build = lambda: greedy_cover(qm, target, candidates, alpha, direction)
     else:
         build = lambda: greedy_cover_eps(qm, target, candidates, alpha, direction, eps)
+    size = len(set(target))
+    allowed = 0 if eps is None else max(a for a in range(size + 1) if a / size <= eps)
     picks, assignment, uncovered = brute_greedy_cover(
-        qm, target, candidates, alpha, direction, 0 if eps is None else eps * len(target))
+        qm, target, candidates, alpha, direction, allowed)
     if picks is None:
         with pytest.raises(CoverageError, match="lie in no candidate ball") as err:
             build()
@@ -260,6 +262,20 @@ class TestEpsCover:
             assert cov.size == size
             assert len(cov.uncovered) <= eps * 8
             assert cov.stats.iterations <= p * math.ceil(math.log(1 / eps))
+
+    def test_allowance_is_the_largest_whole_count_within_eps(self):
+        # 0.29 * 100 is 28.999999999999996 in floating point, yet 29 of the
+        # 100 single-point balls may stay uncovered
+        cov = greedy_cover_eps(gen_cycle(100).space, range(100), range(100), 0.0,
+                               Direction.OUTER, 0.29)
+        assert (cov.size, len(cov.uncovered)) == (71, 29)
+        assert cov.stats.iterations == 71
+        # the float just below 20/53 times 53 rounds up to 20.0, yet only 19
+        # of 53 fit within it
+        cycle = gen_cycle(53).space
+        for eps, left in ((20 / 53, 20), (math.nextafter(20 / 53, 0), 19)):
+            cov = greedy_cover_eps(cycle, range(53), range(53), 0.0, Direction.OUTER, eps)
+            assert (cov.size, len(cov.uncovered)) == (53 - left, left)
 
     def test_eps_half_line(self):
         qm = gen_line(8).space

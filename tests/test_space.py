@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,15 @@ from quasimetric import (Direction, Mode, QuasiMetric, QueryVectors, ball,
                          build_from_digraph, build_from_matrix, check_symmetric_axioms,
                          diameter, gen_cycle, gen_line, nearest, set_distance, subspace,
                          to_min_semimetric, transpose, validate)
+from quasimetric import space as space_module
+from quasimetric.cli import parse_queries_text
 from quasimetric.space import (_MAX_REPORTED, format_value, load_edge_list, load_matrix,
-                               parse_matrix_text, save_edge_list, save_matrix)
+                               parse_edge_list_text, parse_matrix_text, save_edge_list,
+                               save_matrix)
 
 from conftest import (brute_ball, brute_nearest, brute_triangle_violations,
-                      floyd_warshall, random_quasimetric)
+                      floyd_warshall, random_quasimetric, whole_text_edge_list,
+                      whole_text_matrix, whole_text_queries)
 
 INF = math.inf
 
@@ -218,6 +223,20 @@ class TestValidate:
     def test_triangle_scan_pinned_examples(self, d):
         assert_scans_match_brute_force(d, bool(np.isinf(d).any()), 1e-9)
 
+    def test_triangle_scan_across_row_blocks(self, monkeypatch):
+        # 7-row blocks at n = 30: four full blocks, then a partial one of 2
+        n = 30
+        monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", 7 * n)
+        ids = np.arange(n)
+        d = ((ids[None, :] - ids[:, None]) % n).astype(np.float64)  # one-way ring
+        d[0, 5] = 9.0    # block 0: too long, violated via k = 1..4
+        d[17, 20] = 25.0  # block 2
+        d[29, 2] = 0.5   # the partial block: a short leg that others use
+        assert_scans_match_brute_force(d, False, 1e-9)
+        relaxed = d.copy()
+        relaxed[9, 12] = INF  # block 1: exempt as a left-hand side
+        assert_scans_match_brute_force(relaxed, True, 0.0)
+
 
 def assert_scans_match_brute_force(d, relaxed, tol):
     """``validate`` (relaxed when asked) and, on strict input, the symmetric
@@ -364,6 +383,24 @@ class TestNearest:
                                                to_query=[math.nan] * 4), Direction.INNER)
         assert (res.index, res.distance, res.evaluations) == (1, 3.0, 2)
 
+    @pytest.mark.parametrize("candidates,message", [
+        ([], "non-empty candidate set"),
+        ([3, 7, -2, 9, -1], "id -2 out of range"),
+        ([9, 6, 3, 6], "id 6 out of range"),
+        ([2 ** 70, 6], "id 6 out of range"),
+        ([2, -2 ** 80, 2 ** 70], f"id {-2 ** 80} out of range"),
+    ])
+    def test_out_of_range_candidate_reported_by_least_id(self, candidates, message):
+        with pytest.raises(ValueError, match=message):
+            nearest(gen_cycle(5).space, candidates, 0, Direction.INNER)
+
+    def test_candidates_deduplicated_from_any_iterable(self):
+        qm = gen_cycle(6).space
+        for cand in ([4, 2, 4, 2], (c for c in (2, 4, 2)), np.array([4, 2, 2]), {2, 4}):
+            res = nearest(qm, cand, 0, Direction.INNER)
+            assert (res.index, res.distance, res.evaluations) == (2, 2.0, 2)
+            assert type(res.index) is int
+
     def test_all_infinite_reads_keep_lowest_id(self):
         res = nearest(gen_line(5).space, {4, 3}, 1, Direction.OUTER)  # d(3, 1) = inf
         assert (res.index, res.distance, res.evaluations) == (3, INF, 2)
@@ -450,3 +487,134 @@ class TestFileFormats:
     def test_malformed_matrix(self, text, msg):
         with pytest.raises(ValueError, match=msg):
             parse_matrix_text(text)
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+GAPS = [" ", "  ", "\t", "\x1f", "\xa0"]  # whitespace that ends no line
+NUMBERS = ["0", "3", "1.5", "-0", "1_0", "inf", "-INF", "Infinity", "+inf", "1e400", ".5",
+           "nan"]
+JUNK = ["x", "1__0", "-", "0x1", "--1", "#"]
+
+
+@st.composite
+def parser_texts(draw, kind):
+    """Text in the format of one parser, often well formed, otherwise with a
+    bad header, a missing or extra line, a short or long line, or a bad
+    token; comments, blank lines and every line break mixed in."""
+    size = draw(st.integers(min_value=0, max_value=4))
+    junk = draw(st.integers(min_value=0, max_value=3)) == 3
+    number = st.sampled_from(NUMBERS + JUNK if junk else NUMBERS)
+    if kind == "matrix":
+        headers = [str(size), f"+{size}", f" {size} "], ["99999999999", "x", f"{size} {size}"]
+        lines, width = size, size
+    elif kind == "edges":
+        headers = [f"3 {size}"], [f"3 {size} 1", "3", "3 x", f"-1 {size}"]
+        lines, width = size, 3
+    else:
+        headers = [str(size)], ["x", "-1", "99999999999"]
+        lines, width = 2 * size, 3
+    well_formed = draw(st.integers(min_value=0, max_value=3)) < 3
+    header = draw(st.sampled_from(headers[0] if well_formed else headers[1]))
+    lines += draw(st.sampled_from([0, 0, 0, -1, 1]))
+    body = []
+    for _ in range(max(lines, 0)):
+        if kind == "queries" and draw(st.integers(min_value=0, max_value=4)) == 4:
+            body.append("-")
+            continue
+        count = max(width + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
+        if kind == "edges":
+            ids = st.sampled_from(["0", "1", "2", "x", "1.5"] if junk else ["0", "1", "2"])
+            tokens = [draw(ids) for _ in range(2)] + [draw(number)]
+            tokens = tokens[:count] + [draw(number)] * (count - 3)
+        else:
+            tokens = [draw(number) for _ in range(count)]
+        gaps = [draw(st.sampled_from(GAPS)) for _ in tokens]
+        body.append("".join(g + t for g, t in zip(gaps, tokens)))
+    out = []
+    for line in [header] + body:
+        while draw(st.integers(min_value=0, max_value=5)) == 5:
+            out.append(draw(st.sampled_from(["", "  ", "\t", "# comment", "  #x 1 2"])))
+        out.append(line)
+    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in out]
+    return "".join(line + brk for line, brk in zip(out, breaks))
+
+
+def parse_outcome(parse, source):
+    """What ``parse(source)`` gives, in a form that compares bit for bit:
+    float64 arrays as (shape, bytes), or the error's type and message."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            assert value.dtype == np.float64
+            return value.shape, value.tobytes()
+        if isinstance(value, (list, tuple)):
+            return [bits(v) for v in value]
+        if isinstance(value, QueryVectors):
+            return [None if side is None else bits(np.asarray(side))  # oracle: lists
+                    for side in (value.from_query, value.to_query)]
+        return repr(value)
+    try:
+        return bits(parse(source))
+    except Exception as exc:  # the oracle may raise any type; so must the parser
+        return type(exc), str(exc)
+
+
+class TestStreamingParsers:
+    """The line-at-a-time parsers against the whole-text oracles."""
+
+    PARSERS = {
+        "matrix": (parse_matrix_text, whole_text_matrix),
+        "edges": (parse_edge_list_text, whole_text_edge_list),
+        "queries": (lambda src: parse_queries_text(src, 3),
+                    lambda text: whole_text_queries(text, 3)),
+    }
+
+    @pytest.mark.parametrize("kind", ["matrix", "edges", "queries"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_whole_text_oracle(self, tmp_path_factory, kind, data):
+        text = data.draw(parser_texts(kind))
+        parse, oracle = self.PARSERS[kind]
+        expected = parse_outcome(oracle, text)
+        assert parse_outcome(parse, text) == expected
+        path = tmp_path_factory.mktemp("parse") / "input.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            expected = parse_outcome(oracle, fh.read())
+        with open(path, encoding="utf-8") as fh:
+            assert parse_outcome(parse, fh) == expected
+
+    def test_count_error_wins_over_a_bad_row(self):
+        with pytest.raises(ValueError, match="^expected 3 matrix rows, found 2$"):
+            parse_matrix_text("3\n0 x\n1 0 2 9\n")
+        with pytest.raises(ValueError, match="^expected 1 edges, found 2$"):
+            parse_edge_list_text("2 1\n0 1\n0 1 x\n")
+        with pytest.raises(ValueError, match="^expected 2 side lines for 1 queries, found 1$"):
+            parse_queries_text("1\n1 x\n", 3)
+
+    def test_query_sides_are_float64_arrays(self):
+        (qv,) = parse_queries_text("1\n0 1_0 inf\n-\n", 3)
+        assert isinstance(qv.from_query, np.ndarray) and qv.from_query.dtype == np.float64
+        assert qv.from_query.tolist() == [0.0, 10.0, INF] and qv.to_query is None
+
+    def test_huge_claimed_count_allocates_nothing(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("# claims ten billion points\n10000000000\n0 1\n1 0\n")
+        message = "^expected 10000000000 matrix rows, found 2$"
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+        with pytest.raises(ValueError, match=message):
+            parse_matrix_text(path.read_text())
+
+    def test_load_matrix_peaks_below_three_matrices(self, tmp_path, rng):
+        n = 300
+        path = tmp_path / "m.txt"
+        save_matrix(path, rng.uniform(1.0, 2.0, (n, n)))
+        tracemalloc.start()
+        try:
+            qm = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qm.n == n
+        assert peak < 3 * qm.dist.nbytes, f"peak {peak / qm.dist.nbytes:.2f}x the matrix"
