@@ -27,9 +27,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from . import _text
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, Mode, QuasiMetric, _candidate_reads, _data_lines,
+from .space import (Direction, Mode, QuasiMetric, _candidate_reads,
                     set_distance, subspace)
 
 
@@ -397,7 +398,7 @@ def bound_agnostic(n: int, k: int, delta: float, eps: float,
 def parse_labels_text(source) -> dict[int, int]:
     """Labels from a `str` or an open text file of lines `id +1` / `id -1`."""
     labels: dict[int, int] = {}
-    for stripped in _data_lines(source):
+    for stripped in _text.data_lines(source):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ValueError(f"label line needs 'id label', got {stripped!r}")

@@ -14,16 +14,18 @@ import json
 import math
 import sys
 import time
+from array import array
 from typing import Optional
 
 import numpy as np
 
+from . import _text
 from . import classifier as _classifier
 from . import cover as _cover
 from . import dimension as _dimension
 from . import fixtures as _fixtures
 from . import transforms as _transforms
-from .space import (Direction, Mode, QuasiMetric, QueryVectors, _data_lines, _first_line,
+from .space import (Direction, Mode, QuasiMetric, QueryVectors, _first_line,
                     _parse_records, diameter, load_edge_list, load_matrix, nearest,
                     save_edge_list, save_matrix, validate)
 
@@ -75,7 +77,7 @@ def table(headers: list[str], rows: list[list]) -> None:
 
 def _sniff_format(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        first = next(_data_lines(fh), None)
+        first = next(_text.data_lines(fh), None)
     if first is None:
         raise ValueError(f"{path} has no data lines")
     return "matrix" if len(first.split()) == 1 else "edges"
@@ -271,22 +273,24 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
     lines per query (from side, to side).
 
     Each side is n values or the single token `-` when that orientation is
-    unavailable; a given side becomes a float64 array.
+    unavailable; a given side becomes a float64 view of one buffer that
+    holds every side.
     """
-    first, lines = _first_line(source, "queries")
-    q = int(first)
-
-    def side(line: str) -> Optional[np.ndarray]:
-        if line == "-":
-            return None
-        tokens = line.split()
-        vals = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        if len(tokens) != n:
-            raise ValueError(f"query side has {len(tokens)} values, expected {n}")
-        return vals
-
-    sides = _parse_records(lines, 2 * q, side, lambda found: (
-        f"expected {2 * q} side lines for {q} queries, found {found}"))
+    parsed = _text.parse_in_ranges(source, n)
+    if parsed is not None:
+        q, values, dashes = parsed
+    else:
+        first, lines = _first_line(source, "queries")
+        q = int(first)
+        if q < 0:
+            raise ValueError(f"query count must be non-negative, got {q}")
+        values = array("d")
+        given = _parse_records(lines, 2 * q, lambda line: _text.append_row(values, line, n, True),
+                               lambda found: (f"expected {2 * q} side lines for {q} queries, "
+                                              f"found {found}"))
+        dashes = [i for i, side in enumerate(given) if not side]
+    rows, absent = iter(np.frombuffer(values, np.float64).reshape(-1, n)), set(dashes)
+    sides = [None if i in absent else next(rows) for i in range(2 * q)]
     return [QueryVectors(from_query=frm, to_query=to)
             for frm, to in zip(sides[::2], sides[1::2])]
 

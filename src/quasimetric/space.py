@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+from . import _text
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -148,14 +151,18 @@ class NearestResult:
 
 def build_from_matrix(entries, mode: Mode = Mode.STRICT,
                       strict_identity: bool = False) -> QuasiMetric:
-    """Build a space from a square array of distances.
+    """Build a space from a copy of a square array of distances.
 
     Raises ValueError on non-square input, NaN or negative entries, or an
     infinite entry in strict mode.  ``strict_identity=True`` additionally
     rejects zero distances between distinct points.
     """
-    mode = Mode(mode)
-    dist = np.array(entries, dtype=np.float64)
+    return _adopt(np.array(entries, dtype=np.float64), Mode(mode), strict_identity)
+
+
+def _adopt(dist: np.ndarray, mode: Mode, strict_identity: bool = False) -> QuasiMetric:
+    """:func:`build_from_matrix` on a float64 array nobody else holds, which
+    becomes the space's matrix without a copy."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
     if dist.shape[0] == 0:
@@ -428,25 +435,13 @@ def subspace(qm: QuasiMetric, ids: Iterable[int]) -> QuasiMetric:
 # the token `inf` (any case) marks an unreachable pair.  Edge lists: first
 # line `n m`, then m lines `u v w`.  Lines starting with `#` are comments.
 # Parsers take the text as a `str` or an open text file and read it one line
-# at a time, so a file is never held whole.
+# at a time, so a file is never held whole; `_text` holds the line rule and
+# the row conversion, and parses a large file on several cores.
 # ---------------------------------------------------------------------------
-
-def _data_lines(source) -> Iterator[str]:
-    """The stripped lines of ``source`` that are neither blank nor comments.
-
-    Each chunk (the whole string, or one line of the file) is split with
-    ``str.splitlines()``, so every line boundary it knows ends a line.
-    """
-    for chunk in (source,) if isinstance(source, str) else source:
-        for line in chunk.splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                yield stripped
-
 
 def _first_line(source, what: str) -> tuple[str, Iterator[str]]:
     """The first data line of ``source`` and an iterator over the rest."""
-    lines = _data_lines(source)
+    lines = _text.data_lines(source)
     first = next(lines, None)
     if first is None:
         raise ValueError(f"empty {what} file")
@@ -478,22 +473,23 @@ def _parse_records(lines: Iterator[str], expected: int, parse: Callable[[str], o
 
 
 def parse_matrix_text(source) -> np.ndarray:
-    first, lines = _first_line(source, "matrix")
-    try:
-        n = int(first)
-    except ValueError as exc:
-        raise ValueError(f"first line must be the point count, got {first!r}") from exc
-    if n < 1:
-        raise ValueError("point count must be at least 1")
-
-    def row(line: str) -> np.ndarray:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ValueError(f"row has {len(tokens)} entries, expected {n}")
-        return np.fromiter(map(float, tokens), np.float64, n)
-
-    rows = _parse_records(lines, n, row, lambda found: f"expected {n} matrix rows, found {found}")
-    return np.array(rows)
+    """An ``n × n`` float64 matrix, its rows in one buffer, from a matrix
+    file's text as a `str` or an open text file."""
+    parsed = _text.parse_in_ranges(source)
+    if parsed is not None:
+        n, values, _ = parsed
+    else:
+        first, lines = _first_line(source, "matrix")
+        try:
+            n = int(first)
+        except ValueError as exc:
+            raise ValueError(f"first line must be the point count, got {first!r}") from exc
+        if n < 1:
+            raise ValueError("point count must be at least 1")
+        values = array("d")
+        _parse_records(lines, n, lambda line: _text.append_row(values, line, n, False),
+                       lambda found: f"expected {n} matrix rows, found {found}")
+    return np.frombuffer(values, np.float64).reshape(n, n)
 
 
 def parse_edge_list_text(source) -> tuple[int, list[tuple[int, int, float]]]:
@@ -502,6 +498,8 @@ def parse_edge_list_text(source) -> tuple[int, list[tuple[int, int, float]]]:
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {first!r}")
     n, m = int(head[0]), int(head[1])
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
 
     def edge(line: str) -> tuple[int, int, float]:
         tokens = line.split()
@@ -515,7 +513,7 @@ def parse_edge_list_text(source) -> tuple[int, list[tuple[int, int, float]]]:
 def load_matrix(path, mode: Mode = Mode.STRICT) -> QuasiMetric:
     with open(path, "r", encoding="utf-8") as fh:
         matrix = parse_matrix_text(fh)
-    return build_from_matrix(matrix, mode=mode)
+    return _adopt(matrix, Mode(mode))
 
 
 def load_edge_list(path, mode: Mode = Mode.STRICT) -> QuasiMetric:

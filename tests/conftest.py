@@ -169,6 +169,8 @@ def whole_text_edge_list(text: str):
     if len(head) != 2:
         raise ValueError(f"first line must be 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} edges, found {len(lines) - 1}")
     edges = []
@@ -186,6 +188,8 @@ def whole_text_queries(text: str, n: int) -> list:
     if not lines:
         raise ValueError("empty queries file")
     q = int(lines[0])
+    if q < 0:
+        raise ValueError(f"query count must be non-negative, got {q}")
     if len(lines) != 1 + 2 * q:
         raise ValueError(f"expected {2 * q} side lines for {q} queries, "
                          f"found {len(lines) - 1}")

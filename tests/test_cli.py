@@ -294,6 +294,21 @@ class TestTrainPredict:
                           "--queries", str(qfile)], capsys)
         assert rc == 2 and "expected 4" in cap.err
 
+    def test_negative_header_counts_exit_two(self, four_point, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+        clf_path = tmp_path / "clf.json"
+        run(["train", "--input", four_point, "--labels", labels,
+             "--output", str(clf_path)], capsys)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("-1\n")
+        rc, _, cap = run(["predict", "--classifier", str(clf_path),
+                          "--queries", str(qfile)], capsys)
+        assert rc == 2 and cap.out == "" and "query count" in cap.err and "-1" in cap.err
+        edges = tmp_path / "edges.txt"
+        edges.write_text("3 -1\n")
+        rc, _, cap = run(["validate", "--input", str(edges), "--format", "edges"], capsys)
+        assert rc == 2 and cap.out == "" and "edge count" in cap.err and "-1" in cap.err
+
     def test_predict_size_mismatch(self, four_point, tmp_path, cycle8, capsys):
         labels = self.write_labels(tmp_path)
         clf_path = tmp_path / "clf.json"

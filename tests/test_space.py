@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quasimetric
@@ -16,6 +17,7 @@ from quasimetric import (Direction, Mode, QuasiMetric, QueryVectors, ball,
                          build_from_digraph, build_from_matrix, check_symmetric_axioms,
                          diameter, gen_cycle, gen_line, nearest, set_distance, subspace,
                          to_min_semimetric, transpose, validate)
+from quasimetric import _text
 from quasimetric import space as space_module
 from quasimetric.cli import parse_queries_text
 from quasimetric.space import (_MAX_REPORTED, format_value, load_edge_list, load_matrix,
@@ -498,10 +500,11 @@ JUNK = ["x", "1__0", "-", "0x1", "--1", "#"]
 
 
 @st.composite
-def parser_texts(draw, kind):
+def parser_texts(draw, kind, line_breaks=tuple(LINE_BREAKS)):
     """Text in the format of one parser, often well formed, otherwise with a
     bad header, a missing or extra line, a short or long line, or a bad
-    token; comments, blank lines and every line break mixed in."""
+    token; comments, blank lines and line breaks drawn from ``line_breaks``
+    mixed in."""
     size = draw(st.integers(min_value=0, max_value=4))
     junk = draw(st.integers(min_value=0, max_value=3)) == 3
     number = st.sampled_from(NUMBERS + JUNK if junk else NUMBERS)
@@ -536,7 +539,7 @@ def parser_texts(draw, kind):
         while draw(st.integers(min_value=0, max_value=5)) == 5:
             out.append(draw(st.sampled_from(["", "  ", "\t", "# comment", "  #x 1 2"])))
         out.append(line)
-    breaks = [draw(st.sampled_from(LINE_BREAKS)) for _ in out]
+    breaks = [draw(st.sampled_from(line_breaks)) for _ in out]
     return "".join(line + brk for line, brk in zip(out, breaks))
 
 
@@ -606,7 +609,16 @@ class TestStreamingParsers:
         with pytest.raises(ValueError, match=message):
             parse_matrix_text(path.read_text())
 
-    def test_load_matrix_peaks_below_three_matrices(self, tmp_path, rng):
+    def test_negative_header_counts_are_input_errors(self):
+        with pytest.raises(ValueError, match="^query count must be non-negative, got -1$"):
+            parse_queries_text("-1\n", 3)
+        with pytest.raises(ValueError, match="^edge count must be non-negative, got -1$"):
+            parse_edge_list_text("3 -1\n")
+
+    def test_load_matrix_peaks_below_five_quarters_of_the_matrix(self, tmp_path, rng):
+        """The rows fill one growing buffer that becomes the space's matrix
+        uncopied: 1.18x the matrix's bytes at n = 300 (the buffer's slack and
+        one n x n boolean mask of the entry checks)."""
         n = 300
         path = tmp_path / "m.txt"
         save_matrix(path, rng.uniform(1.0, 2.0, (n, n)))
@@ -617,4 +629,147 @@ class TestStreamingParsers:
         finally:
             tracemalloc.stop()
         assert qm.n == n
-        assert peak < 3 * qm.dist.nbytes, f"peak {peak / qm.dist.nbytes:.2f}x the matrix"
+        assert peak < 1.25 * qm.dist.nbytes, f"peak {peak / qm.dist.nbytes:.2f}x the matrix"
+
+
+def assert_no_child_left():
+    """Every worker a parse started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ROWS5 = ["0 1 2 3 4", "1 0 2 3 4", "2 1 0 3 4", "3 2 1 0 4", "4 3 2 1 0"]
+QUERY_SIDES = ["0 1 2", "-", "1 1 1", "2 2 2", "3 3 3", "-"]
+
+
+class TestParallelParse:
+    """Files split over worker processes against the whole-text oracles.
+
+    ``RANGE_MIN`` is patched down to 2 bytes and the CPU count up to 4, so
+    inputs of a few bytes are cut into as many as four ranges.
+    """
+
+    PARSERS = TestStreamingParsers.PARSERS
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """The list of whether each parse since took the parallel path."""
+        monkeypatch.setattr(_text, "RANGE_MIN", 2)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+        taken, original = [], _text.parse_in_ranges
+
+        def spy(*args):
+            result = original(*args)
+            taken.append(result is not None)
+            return result
+
+        monkeypatch.setattr(_text, "parse_in_ranges", spy)
+        return taken
+
+    def check(self, path, kind, text):
+        """Parse ``text`` from a file at ``path`` and compare with the oracle."""
+        path.write_text(text, encoding="utf-8", newline="")
+        parse, oracle = self.PARSERS[kind]
+        with open(path, encoding="utf-8") as fh:
+            expected = parse_outcome(oracle, fh.read())
+        with open(path, encoding="utf-8") as fh:
+            got = parse_outcome(parse, fh)
+        assert_no_child_left()
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", ["matrix", "queries"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_match_whole_text_oracle(self, tmp_path, split, kind, data):
+        """Mostly `\\n` line breaks, so that most texts can be cut."""
+        text = data.draw(parser_texts(kind, ["\n"] * 20 + LINE_BREAKS))
+        self.check(tmp_path / "input.txt", kind, text)
+
+    @pytest.mark.parametrize("kind,text,parallel", [
+        ("matrix", "5\n" + "".join(f"{row}\n# c\n\n" for row in ROWS5), True),
+        ("matrix", "5\r\n" + "".join(f"{row}\r\n" for row in ROWS5), True),
+        ("matrix", "5\r" + "".join(f"{row}\r" for row in ROWS5), False),
+        ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]) + "4 3 x 1 0\n", False),
+        ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]) + "4 3 2 1\n", False),
+        ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5 + ROWS5[:1]), False),
+        ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]), False),
+        ("matrix", "5\x0b" + "".join(f"{row}\n" for row in ROWS5 + ROWS5[:1]), False),
+        ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES), True),
+        ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES[:5]) + "3 x\n",
+         False),
+    ], ids=["comments-at-cuts", "crlf", "bare-cr", "bad-token", "short-row", "extra-row",
+            "missing-row", "row-on-header-line", "dash-side", "bad-side"])
+    def test_pinned_cases(self, tmp_path, split, kind, text, parallel):
+        self.check(tmp_path / "input.txt", kind, text)
+        assert split == [parallel]
+
+    def test_cuts_fall_on_comments_and_blank_lines(self, tmp_path, split):
+        path = tmp_path / "m.txt"
+        path.write_text("5\n" + "".join(f"{row}\n# c\n\n" for row in ROWS5))
+        with open(path, "rb") as fh:
+            _, cuts = _text._split(fh.fileno(), os.fstat(fh.fileno()).st_size)
+            data = fh.read()
+        assert {data[cut:cut + 1] for cut in cuts[1:-1]} == {b"#", b"\n"}
+
+    @pytest.mark.parametrize("cpus,range_min,workers", [
+        (4, 8, 3), (2, 8, 1), (4, 25, 1), (4, 26, 0), (1, 8, 0)])
+    def test_worker_count(self, tmp_path, monkeypatch, cpus, range_min, workers):
+        """Workers number min(CPUs, body bytes // RANGE_MIN) - 1 (the first
+        range is parsed in-process); the 50-byte body's rows cut evenly."""
+        monkeypatch.setattr(_text, "RANGE_MIN", range_min)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
+        started = []
+
+        class Counted(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Counted)
+        path = tmp_path / "m.txt"
+        path.write_text("5\n" + "".join(f"{row}\n" for row in ROWS5))
+        with open(path, encoding="utf-8") as fh:
+            assert parse_matrix_text(fh).tobytes() == whole_text_matrix(path.read_text()).tobytes()
+        assert len(started) == workers
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("executable", ["missing", "false"])
+    def test_unstartable_or_failing_workers_fall_back(self, tmp_path, split, monkeypatch,
+                                                      executable):
+        if executable == "false":
+            executable = shutil.which("false")
+            if executable is None:
+                pytest.skip("no `false` program")
+        else:
+            executable = str(tmp_path / executable)
+        monkeypatch.setattr(sys, "executable", executable)
+        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
+        assert split == [False]
+
+    def test_worker_exiting_nonzero_after_its_output_falls_back(self, tmp_path, split,
+                                                               monkeypatch):
+        wrapper = tmp_path / "python-then-fail"
+        wrapper.write_text(f'#!/bin/sh\n"{sys.executable}" "$@"\nexit 3\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(wrapper))
+        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
+        assert split == [False]
+
+    def test_file_changed_during_the_parse_falls_back(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "m.txt"
+        text = "5\n" + "".join(f"{row}\n" for row in ROWS5)
+        original = _text.parse_range
+
+        def grow_then_parse(*args):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("# appended while the ranges were parsed\n")
+            return original(*args)
+
+        monkeypatch.setattr(_text, "parse_range", grow_then_parse)
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            got = parse_matrix_text(fh)
+        assert_no_child_left()
+        assert split == [False]
+        assert got.tobytes() == whole_text_matrix(text).tobytes()
