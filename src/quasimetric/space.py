@@ -190,11 +190,6 @@ def build_from_digraph(n: int, edges: Iterable[tuple[int, int, float]],
     Parallel edges keep the minimum weight.  In strict mode every ordered
     pair must be reachable; in relaxed mode unreachable pairs become +inf.
     """
-    # scipy is imported here, its only use, so commands that never load an
-    # edge list do not pay for importing it.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     mode = Mode(mode)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -211,19 +206,63 @@ def build_from_digraph(n: int, edges: Iterable[tuple[int, int, float]],
         key = (u, v)
         if key not in best or w < best[key]:
             best[key] = w
-    if best:
-        rows, cols, data = zip(*((u, v, w) for (u, v), w in best.items()))
-        graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        graph = csr_matrix((n, n))
-    dist = dijkstra(graph, directed=True)
-    np.fill_diagonal(dist, 0.0)
+    dist = _closure(n, best)
     if mode is Mode.STRICT and np.isinf(dist).any():
         i, j = np.argwhere(np.isinf(dist))[0]
         raise ValueError(
             f"no path from {i} to {j}: graph is not strongly connected "
             "(use relaxed mode for partial reachability)")
     return QuasiMetric(dist=dist, mode=mode)
+
+
+def _closure(n: int, weights: dict[tuple[int, int], float]) -> np.ndarray:
+    """All-pairs shortest paths of the digraph with edge ``(u, v)`` of
+    weight ``weights[(u, v)] >= 0`` (no self-loops); +inf where no path.
+
+    Dijkstra from all ``n`` sources in lock step.  Each step finalises, in
+    every row, the unfinished vertex of least tentative label (an argmin of
+    ``open``) and relaxes its out-edges wherever ``cand < label``.  A path's
+    cost ``fl(fl(a + w1) + w2) ...`` never shrinks as it grows, so label
+    setting stays exact (Knuth 1977) and gives the least left-to-right sum
+    over all paths, the fixed point of any label-setting or -correcting
+    order.  A finished vertex never passes the test, and a row stops once
+    nothing in it is reachable.  O(n^3) vectorised: ``n`` row-argmins over
+    ``n x n``.
+    """
+    # Out-neighbour table, one row per vertex, padded to the largest
+    # out-degree with slots pointing back at the vertex at weight +inf.
+    edges = np.array(list(weights), dtype=np.int64).reshape(-1, 2)
+    order = np.argsort(edges[:, 0], kind="stable")
+    heads, tails = edges[order].T
+    degree = np.bincount(heads, minlength=n)
+    slot = np.arange(len(heads)) - (np.cumsum(degree) - degree)[heads]
+    nbr = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
+    nbr[heads, slot] = tails
+    cost = np.full(nbr.shape, np.inf)
+    cost[heads, slot] = np.fromiter(weights.values(), np.float64, len(weights))[order]
+
+    label = np.full((n, n), np.inf)
+    np.fill_diagonal(label, 0.0)
+    open_ = label.copy()
+    rows = np.arange(n)  # the source of each row of open_
+    with np.errstate(over="ignore"):  # a finite sum past the float range is +inf
+        for _ in range(n):
+            u = open_.argmin(axis=1)
+            val = open_[np.arange(len(rows)), u]
+            live = val < np.inf
+            if not live.all():  # drop the rows with nothing left to reach
+                if not live.any():
+                    break
+                rows, open_, u, val = rows[live], open_[live], u[live], val[live]
+            here = np.arange(len(rows))
+            open_[here, u] = np.inf
+            to = nbr[u]
+            cand = val[:, None] + cost[u]
+            r, s = np.nonzero(cand < label[rows[:, None], to])
+            to, cand = to[r, s], cand[r, s]
+            label[rows[r], to] = cand
+            open_[r, to] = cand
+    return label
 
 
 _MAX_REPORTED = 1000
@@ -529,16 +568,17 @@ def format_value(v: float) -> str:
 
 
 def save_matrix(path, matrix, header: Iterable[str] = ()) -> None:
-    """Write a matrix file, each entry as :func:`format_value` writes it."""
+    """Write a matrix file, each entry as :func:`format_value` writes it,
+    converting one row at a time."""
     arr = np.asarray(matrix, dtype=np.float64)
-    arr = np.where(np.isneginf(arr), np.inf, arr)  # format_value writes -inf as inf
     row_format = " ".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in header:
             fh.write(f"# {line}\n")
         fh.write(f"{arr.shape[0]}\n")
-        for row in arr.tolist():
-            fh.write(row_format % tuple(row))
+        for row in arr:
+            # format_value writes -inf as inf; no other "%.17g" output holds "inf"
+            fh.write((row_format % tuple(row.tolist())).replace("-inf", "inf"))
 
 
 def save_edge_list(path, n: int, edges: Sequence[tuple[int, int, float]],

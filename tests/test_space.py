@@ -71,7 +71,7 @@ class TestBuildFromMatrix:
 
 class TestBuildFromDigraph:
     def test_matches_independent_closure(self, rng):
-        # scipy shortest paths vs our own Floyd-Warshall oracle
+        # the package's Dijkstra closure vs our own Floyd-Warshall oracle
         for _ in range(20):
             n = int(rng.integers(2, 9))
             w = np.full((n, n), INF)
@@ -128,6 +128,63 @@ class TestBuildFromDigraph:
         assert loaded == "[]"
         got = np.array([[float(x) for x in row] for row in json.loads(closure)])
         assert np.array_equal(got, floyd_warshall(w))
+
+    @given(data=st.data(), n=st.integers(1, 10),
+           weights=st.sampled_from([
+               st.floats(0.0, 1e6),  # real
+               st.integers(0, 2).map(float),  # tie-heavy, zero weights included
+               st.sampled_from([0.0, 0.1, 0.2, 0.3, INF]),  # sums that round, and inf
+           ]))
+    @example(data=None, n=1, weights=None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_dijkstra_bit_for_bit(self, data, n, weights):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        edges = [] if data is None else data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
+            max_size=3 * n))
+        least: dict[tuple[int, int], float] = {}  # parallel edges keep the minimum
+        for u, v, x in edges:
+            if u != v:  # self-loops are dropped
+                least[(u, v)] = min(x, least.get((u, v), INF))
+        graph = csr_matrix(([least[e] for e in least],
+                            ([u for u, _ in least], [v for _, v in least])), shape=(n, n))
+        want = csgraph.dijkstra(graph, directed=True)
+        np.fill_diagonal(want, 0.0)
+        got = build_from_digraph(n, edges, mode=Mode.RELAXED).dist
+        assert np.array_equal(got, want)
+
+    def test_path_summing_past_the_float_range_is_unreachable(self):
+        qm = build_from_digraph(3, [(0, 1, 1e308), (1, 2, 1e308)], mode=Mode.RELAXED)
+        assert qm.dist[0, 1] == 1e308 and qm.dist[0, 2] == INF  # as scipy's dijkstra gives
+
+    def test_runs_without_scipy(self, tmp_path):
+        """With every scipy import made to fail, `validate` and `transform`
+        on an edge list print exactly what a normal run prints."""
+        path = tmp_path / "g.txt"
+        save_edge_list(path, 5, [(0, 1, 2.0), (1, 2, 1.5), (2, 0, 4.0), (2, 3, 1.0),
+                                 (3, 4, 0.5), (4, 3, 3.0), (4, 0, 0.25), (1, 0, 7.0)])
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'block':\n"
+            "    sys.modules['scipy'] = None  # any scipy import now raises\n"
+            "from quasimetric import cli\n"
+            "codes = [cli.main(['validate', '--input', sys.argv[2]]),\n"
+            "         cli.main(['transform', '--input', sys.argv[2], '--op', 'max'])]\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if m.split('.')[0] == 'scipy' and mod is not None]\n"
+            "print(codes, loaded, file=sys.stderr)\n")
+        src = str(Path(quasimetric.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        runs = [subprocess.run([sys.executable, "-c", script, how, str(path)], env=env,
+                               capture_output=True, timeout=120, check=True)
+                for how in ("block", "plain")]
+        for proc in runs:
+            assert proc.stderr.decode().splitlines()[-1] == "[0, 0] []"
+        assert runs[0].stdout == runs[1].stdout
+        assert b'"validate"' in runs[0].stdout and b'"transform"' in runs[0].stdout
 
 
 def parity_matrix(n):
@@ -630,6 +687,23 @@ class TestStreamingParsers:
             tracemalloc.stop()
         assert qm.n == n
         assert peak < 1.25 * qm.dist.nbytes, f"peak {peak / qm.dist.nbytes:.2f}x the matrix"
+
+    def test_save_matrix_converts_one_row_at_a_time(self, tmp_path, rng):
+        """Writing an n = 300 matrix peaks below half its bytes, and every
+        entry, inf and -inf included, is written as format_value writes it."""
+        n = 300
+        matrix = rng.uniform(0.0, 1e6, (n, n))
+        matrix[0, 1], matrix[2, 3], matrix[n - 1, 0] = INF, -INF, -0.0
+        path = tmp_path / "m.txt"
+        tracemalloc.start()
+        try:
+            save_matrix(path, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
+        oracle = [str(n)] + [" ".join(format_value(v) for v in row) for row in matrix.tolist()]
+        assert path.read_text(encoding="utf-8").splitlines() == oracle
 
 
 def assert_no_child_left():
