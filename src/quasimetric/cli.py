@@ -254,9 +254,11 @@ def cmd_predict(args) -> int:
         if qm.n != clf.n:
             raise ValueError(f"space has {qm.n} points but classifier expects {clf.n}")
         ids = _ids_arg(args.ids, qm.n)
-        if len(set(ids)) < len(ids):
-            repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
-            raise ValueError(f"--ids repeats id {repeated}")
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ValueError(f"--ids repeats id {i}")
+            seen.add(i)
         for i in ids:
             res = _classifier.predict(clf, i, space=qm)
             lines.append((i, res.label))

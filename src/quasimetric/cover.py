@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .space import Direction, Mode, QuasiMetric, diameter
+from .space import Direction, Mode, QuasiMetric, _clean_ids, diameter
 
 # Assignments produced by the iterated schedule chain several triangle
 # inequalities, so they are certified up to the default validation slack.
@@ -80,16 +80,6 @@ class Cover:
         }
 
 
-def _clean_ids(qm: QuasiMetric, ids: Iterable[int], what: str) -> list[int]:
-    out = sorted(set(int(i) for i in ids))
-    if not out:
-        raise ValueError(f"{what} must be non-empty")
-    for i in out:
-        if not (0 <= i < qm.n):
-            raise ValueError(f"{what} id {i} out of range")
-    return out
-
-
 def _check_alpha(alpha: float, positive: bool = False) -> None:
     """Reject a NaN radius, and a negative one (or, if ``positive``, zero)."""
     if math.isnan(alpha):
@@ -110,6 +100,17 @@ def _distance_to_cover(qm: QuasiMetric, centers: list[int], points: list[int],
                        direction: Direction) -> np.ndarray:
     """Per point, the least oriented distance from any of ``centers``."""
     return qm.oriented(direction)[np.ix_(centers, points)].min(axis=0)
+
+
+def _packed(dists: np.ndarray, radii: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The ``covers`` and ``active`` words ``_greedy_rounds`` reads for one
+    entry per radius: entry b holds the balls ``dists[c] <= radii[b]`` of
+    each candidate c, and its first ``sizes[b]`` targets are active.  The
+    target axis of ``dists`` must be whole 64-bit words."""
+    words = np.packbits(np.less_equal(dists, radii[:, None, None], order="C")).view(np.uint64)
+    covers = words.reshape(len(radii), dists.shape[0], -1).transpose(0, 2, 1)
+    active = np.packbits(np.arange(dists.shape[1]) < np.asarray(sizes)[:, None], axis=-1)
+    return np.ascontiguousarray(covers), active.view(np.uint64)
 
 
 def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
@@ -194,12 +195,11 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
     _check_alpha(alpha)
     tgt = _clean_ids(qm, target, "target")
     cand = _clean_ids(qm, candidates, "candidates")
-    table = _coverage_matrix(qm, cand, tgt, alpha, direction)
-    # Whole 64-bit words per candidate row; the zero padding is never active.
-    width = -(-len(tgt) // 64) * 64
-    padded = np.pad(table, ((0, 0), (0, width - len(tgt))))
-    covers = np.packbits(padded, axis=1).view(np.uint64).T[None].copy()
-    active = np.packbits(np.arange(width) < len(tgt)).view(np.uint64)[None]
+    # Whole 64-bit words per candidate row, padded in the same read (so no
+    # second copy) with the first target's column, then inf; never active.
+    dists = qm.oriented(direction)[np.ix_(cand, tgt + tgt[:1] * (-len(tgt) % 64))]
+    dists[:, len(tgt):] = np.inf
+    covers, active = _packed(dists, np.array([alpha]), [len(tgt)])
     allowance = math.floor(max_fraction * len(tgt))  # at most one off
     if (allowance + 1) / len(tgt) <= max_fraction:
         allowance += 1
@@ -208,8 +208,8 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
     picks = _greedy_rounds(covers, active, np.array(tgt), [alpha], allowance)
     stats = CoverStats(iterations=len(picks),
                        distance_evaluations=len(cand) * len(tgt))
-    return _cover_from_picks(table, [int(best[0]) for _, best in picks], cand, tgt,
-                             alpha, direction, stats)
+    return _cover_from_picks(dists[:, :len(tgt)] <= alpha, [int(best[0]) for _, best in picks],
+                             cand, tgt, alpha, direction, stats)
 
 
 def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],

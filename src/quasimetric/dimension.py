@@ -97,61 +97,41 @@ def _critical_radii(values: np.ndarray) -> np.ndarray:
     return np.unique(values[np.isfinite(values) & (values > 0)])
 
 
-def _min_cover_of_ball(qm: QuasiMetric, members: list[int], radius: float,
-                       direction: Direction) -> int:
-    size, _ = _cover.exact_min_cover(qm, members, range(qm.n), radius / 2.0,
-                                     direction, size_cap=max(len(members), 1))
-    return size
-
-
-def _sweep(qm: QuasiMetric, direction: Direction, ball_value):
-    """Yield (center, radius, ball_value(members)) over all critical balls."""
-    d = qm.oriented(direction)
-    for center in range(qm.n):
-        row = d[center]
-        for radius in _critical_radii(row).tolist():
-            members = np.nonzero(row <= radius)[0].tolist()
-            yield center, radius, ball_value(members, radius)
-
-
-def _cover_sweep(qm: QuasiMetric, direction: Direction, method: str):
-    """Yield (center, radius, half-radius cover size) over all critical balls."""
-    if method == "greedy":
-        return _greedy_sweep(qm.oriented(direction))
-    return _sweep(qm, direction, lambda members, radius:
-                  _min_cover_of_ball(qm, members, radius, direction))
+def _balls(d: np.ndarray):
+    """Yield ``(center, perm, radii, members)`` for every center of the
+    OUTER matrix ``d`` that has a critical radius: the stable argsort of its
+    row, the row's critical radii in increasing order, and each radius's
+    member count.  The ball of ``radii[i]`` is then the prefix
+    ``perm[:members[i]]``, the same set as ``row <= radii[i]``.  INNER
+    passes ``dist.T``.
+    """
+    for center in range(d.shape[0]):
+        perm = np.argsort(d[center], kind="stable")
+        ranked = d[center, perm]
+        radii = _critical_radii(ranked)
+        if radii.size:
+            yield center, perm, radii, np.searchsorted(ranked, radii, side="right")
 
 
 def _greedy_sweep(d: np.ndarray):
     """Yield (center, radius, greedy cover size) over all critical OUTER balls.
 
     Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``,
-    computed for all of a center's radii at once: the stably sorted row
-    makes every ball a prefix of one order, and one batch of the greedy
-    kernel covers the chunk's balls, each size being its entry's round
-    count.  INNER passes ``dist.T``.
+    computed for a chunk of a center's radii at once: one batch of the
+    greedy kernel covers the chunk's balls, each size being its entry's
+    round count.
     """
     n = d.shape[0]
-    for center in range(n):
-        perm = np.argsort(d[center], kind="stable")
-        ranked = d[center, perm]
-        radii = _critical_radii(ranked)
-        if not radii.size:
-            continue
-        members = np.searchsorted(ranked, radii, side="right")
-        # Whole 64-bit words per candidate row, so packing the flat block
-        # packs each row on its own; the inf padding lies in no ball.
+    for center, perm, radii, members in _balls(d):
+        # Whole 64-bit words per candidate row; the inf padding lies in no ball.
         width = -(-members[-1] // 64) * 64
         table = np.full((n, width), np.inf)
         table[:, :members[-1]] = d[:, perm[:members[-1]]]
         step = max(1, _BLOCK_CAP // (n * width))
         for lo in range(0, radii.size, step):
-            rs, ms = radii[lo:lo + step], members[lo:lo + step]
+            rs = radii[lo:lo + step]
             halves = rs / 2.0
-            covers = np.packbits(np.less_equal(table, halves[:, None, None], order="C")
-                                 ).view(np.uint64).reshape(rs.size, n, width // 64)
-            covers = np.ascontiguousarray(covers.transpose(0, 2, 1))
-            active = np.packbits(np.arange(width) < ms[:, None], axis=-1).view(np.uint64)
+            covers, active = _cover._packed(table, halves, members[lo:lo + step])
             picks = _cover._greedy_rounds(covers, active, perm, halves.tolist())
             sizes = np.bincount(np.concatenate([live for live, _ in picks]),
                                 minlength=rs.size)
@@ -159,17 +139,38 @@ def _greedy_sweep(d: np.ndarray):
                 yield center, radius, size
 
 
-def _estimate(rows, quantity: str, method: str,
+def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
               direction: Optional[Direction] = None) -> ConstantEstimate:
-    """Collect (center, radius, value) rows; the witness is the first maximum."""
-    est = ConstantEstimate(value=1, quantity=quantity, method=method,
-                           direction=direction)
+    """Sweep every critical ball of ``qm``, OUTER unless ``direction`` says
+    otherwise, for ``quantity``: the ball's half-radius cover size, or for
+    density its half-radius packing bound.  The per-ball solvers get each
+    ball in id order; the witness is the first maximum."""
+    if method not in ("greedy", "exact"):
+        raise ValueError(f"method must be 'greedy' or 'exact', got {method!r}")
+    if method == "exact" and qm.n > exact_cap:
+        raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
+    orientation = direction or Direction.OUTER
+    d = qm.oriented(orientation)
+    if quantity != "density" and method == "greedy":
+        rows = _greedy_sweep(d)
+    else:
+        rows = []
+        for center, perm, radii, members in _balls(d):
+            for radius, m in zip(radii.tolist(), members.tolist()):
+                ball, half = np.sort(perm[:m]).tolist(), radius / 2.0
+                if quantity != "density":
+                    size, _ = _cover.exact_min_cover(qm, ball, range(qm.n), half,
+                                                     orientation, size_cap=qm.n)
+                elif method == "exact":
+                    size = _max_packing(d, ball, half)
+                else:
+                    size = _greedy_clique_cover(d, ball, half)
+                rows.append((center, radius, size))
+    est = ConstantEstimate(value=1, quantity=quantity, method=method, direction=direction)
     for center, radius, needed in rows:
         est.per_ball.append((center, radius, needed))
         if needed > est.value:
-            est.value = needed
-            est.witness_center = center
-            est.witness_radius = radius
+            est.value, est.witness_center, est.witness_radius = needed, center, radius
     return est
 
 
@@ -181,12 +182,7 @@ def directional_constant(qm: QuasiMetric, direction: Direction,
     Works on relaxed spaces too: infinite distances simply never fall inside
     any ball, so only finite realized radii are swept.
     """
-    direction = Direction(direction)
-    _check_method(method)
-    if method == "exact" and qm.n > exact_cap:
-        raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
-    return _estimate(_cover_sweep(qm, direction, method), "directional", method,
-                     direction)
+    return _constant(qm, "directional", method, exact_cap, Direction(direction))
 
 
 SpaceLike = Union[QuasiMetric, SymmetricSpace]
@@ -205,11 +201,8 @@ def _symmetric_view(space: SpaceLike, what: str) -> QuasiMetric:
 def doubling_constant(space: SpaceLike, method: str = "greedy",
                       exact_cap: int = EXACT_SIZE_CAP) -> ConstantEstimate:
     """Doubling constant of a symmetric space (cover balls by half-balls)."""
-    _check_method(method)
-    qm = _symmetric_view(space, "doubling_constant")
-    if method == "exact" and qm.n > exact_cap:
-        raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
-    return _estimate(_cover_sweep(qm, Direction.OUTER, method), "doubling", method)
+    return _constant(_symmetric_view(space, "doubling_constant"), "doubling", method,
+                     exact_cap)
 
 
 def density_constant(space: SpaceLike, method: str = "greedy",
@@ -220,24 +213,8 @@ def density_constant(space: SpaceLike, method: str = "greedy",
     clique-cover upper bound (any two points of a clique are closer than
     r/2, so a packing takes at most one point per clique).
     """
-    _check_method(method)
-    qm = _symmetric_view(space, "density_constant")
-    if method == "exact" and qm.n > exact_cap:
-        raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
-    d = qm.dist
-
-    def ball_value(members, radius):
-        half = radius / 2.0
-        if method == "exact":
-            return _max_packing(d, members, half)
-        return _greedy_clique_cover(d, members, half)
-
-    return _estimate(_sweep(qm, Direction.OUTER, ball_value), "density", method)
-
-
-def _check_method(method: str) -> None:
-    if method not in ("greedy", "exact"):
-        raise ValueError(f"method must be 'greedy' or 'exact', got {method!r}")
+    return _constant(_symmetric_view(space, "density_constant"), "density", method,
+                     exact_cap)
 
 
 def _max_packing(d: np.ndarray, members: list[int], half: float) -> int:
@@ -271,21 +248,19 @@ def _max_packing(d: np.ndarray, members: list[int], half: float) -> int:
 
 
 def _greedy_clique_cover(d: np.ndarray, members: list[int], half: float) -> int:
-    """Cover the conflict graph (pairs closer than half) by greedy cliques.
-
-    The clique count upper-bounds the maximum packing size.
-    """
-    remaining = list(members)
+    """Cover the conflict graph (pairs closer than half) by greedy cliques:
+    seed each with the lowest remaining member, then take every later member
+    adjacent to the whole clique.  The count upper-bounds the packing."""
+    block = d[np.ix_(members, members)]
+    adjacent = (block < half) & (block.T < half)
+    remaining = np.ones(len(members), dtype=bool)
     cliques = 0
-    while remaining:
-        seed = remaining[0]
-        clique = [seed]
-        rest = []
-        for u in remaining[1:]:
-            if all(d[u, w] < half and d[w, u] < half for w in clique):
-                clique.append(u)
-            else:
-                rest.append(u)
-        remaining = rest
+    while remaining.any():
+        fits = remaining.copy()  # remaining and adjacent to the whole clique
+        u = int(fits.argmax())
+        while fits[u]:
+            remaining[u] = fits[u] = False
+            fits &= adjacent[u]
+            u = int(fits.argmax())
         cliques += 1
     return cliques

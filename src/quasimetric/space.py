@@ -282,6 +282,25 @@ def _checked_tolerance(tolerance: Optional[float]) -> float:
     return tolerance
 
 
+def _entry_violations(d: np.ndarray, report: ValidationReport,
+                      symmetric: bool = False) -> None:
+    """List into ``report`` the nonzero diagonal entries, the negative
+    entries and, if ``symmetric``, each pair ``i < j`` whose two directions
+    differ beyond ``report.tolerance``.  Each list keeps its first
+    ``_MAX_REPORTED``, and a longer one sets ``report.truncated``."""
+    def keep(out: list, found: np.ndarray, entry) -> None:
+        report.truncated |= len(found) > _MAX_REPORTED
+        out.extend(entry(*cell) for cell in found[:_MAX_REPORTED].tolist())
+
+    keep(report.nonzero_diagonal, np.argwhere(np.diagonal(d) != 0),
+         lambda i: (i, float(d[i, i])))
+    keep(report.negative_entries, np.argwhere(d < 0), lambda i, j: (i, j, float(d[i, j])))
+    if symmetric:
+        asym = np.triu(~np.isclose(d, d.T, rtol=report.tolerance, atol=0.0), 1)
+        keep(report.symmetry_violations, np.argwhere(asym),
+             lambda i, j: (i, j, float(d[i, j]), float(d[j, i])))
+
+
 def _triangle_scan(d: np.ndarray, report: ValidationReport,
                    exempt_infinite_lhs: bool = False) -> None:
     """Count into ``report`` every triple with ``d[i, j] > (d[i, k] + d[k, j])
@@ -341,14 +360,7 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
     """
     d = qm.dist
     report = ValidationReport(passed=True, tolerance=_checked_tolerance(tolerance))
-
-    diag = np.diagonal(d)
-    for i in np.nonzero(diag != 0)[0]:
-        report.nonzero_diagonal.append((int(i), float(diag[i])))
-    neg = np.argwhere(d < 0)
-    for i, j in neg[:_MAX_REPORTED]:
-        report.negative_entries.append((int(i), int(j), float(d[i, j])))
-
+    _entry_violations(d, report)
     _triangle_scan(d, report, exempt_infinite_lhs=qm.mode is Mode.RELAXED)
 
     report.passed = (not report.triangle_violations
@@ -373,15 +385,22 @@ def ball(qm: QuasiMetric, center: int, radius: float, direction: Direction) -> s
     return set(np.nonzero(qm.oriented(direction)[center] <= radius)[0].tolist())
 
 
+def _clean_ids(qm: QuasiMetric, ids: Iterable[int], what: str) -> list[int]:
+    """``ids`` sorted and deduplicated; empty, or holding an id outside the
+    space (the least such is named), is an error."""
+    out = sorted(set(int(i) for i in ids))
+    if not out:
+        raise ValueError(f"{what} must be non-empty")
+    for i in out:
+        if not (0 <= i < qm.n):
+            raise ValueError(f"{what} id {i} out of range")
+    return out
+
+
 def set_distance(qm: QuasiMetric, sources: Iterable[int], targets: Iterable[int]) -> float:
     """Minimum of dist(a, b) over a in sources, b in targets (order matters)."""
-    src = sorted(set(int(i) for i in sources))
-    tgt = sorted(set(int(i) for i in targets))
-    if not src or not tgt:
-        raise ValueError("set_distance requires non-empty id sets")
-    for i in src + tgt:
-        if not (0 <= i < qm.n):
-            raise ValueError(f"id {i} out of range")
+    src = _clean_ids(qm, sources, "sources")
+    tgt = _clean_ids(qm, targets, "targets")
     return float(qm.dist[np.ix_(src, tgt)].min())
 
 
@@ -460,12 +479,7 @@ def transpose(qm: QuasiMetric) -> QuasiMetric:
 
 def subspace(qm: QuasiMetric, ids: Iterable[int]) -> QuasiMetric:
     """Induced subspace on the given ids, rows/columns in sorted id order."""
-    keep = sorted(set(int(i) for i in ids))
-    if not keep:
-        raise ValueError("subspace requires at least one id")
-    for i in keep:
-        if not (0 <= i < qm.n):
-            raise ValueError(f"id {i} out of range")
+    keep = _clean_ids(qm, ids, "subspace")
     return QuasiMetric(dist=qm.dist[np.ix_(keep, keep)].copy(), mode=qm.mode)
 
 

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .space import Mode, QuasiMetric, ValidationReport, _checked_tolerance, _triangle_scan
+from .space import (Mode, QuasiMetric, ValidationReport, _checked_tolerance,
+                    _entry_violations, _triangle_scan)
 
 
 class SymmetricKind(str, Enum):
@@ -82,22 +83,9 @@ def check_symmetric_axioms(space: SymmetricSpace,
     Triangle violations fail a METRIC space; for a SEMIMETRIC they are
     recorded in the report but do not affect ``passed``.
     """
-    tolerance = _checked_tolerance(tolerance)  # before isclose can warn on it
-    d = space.dist
-    report = ValidationReport(passed=True, tolerance=tolerance)
-
-    diag = np.diagonal(d)
-    for i in np.nonzero(diag != 0)[0]:
-        report.nonzero_diagonal.append((int(i), float(diag[i])))
-    for i, j in np.argwhere(d < 0):
-        report.negative_entries.append((int(i), int(j), float(d[i, j])))
-    asym = np.argwhere(~np.isclose(d, d.T, rtol=tolerance, atol=0.0))
-    for i, j in asym:
-        if i < j:
-            report.symmetry_violations.append(
-                (int(i), int(j), float(d[i, j]), float(d[j, i])))
-
-    _triangle_scan(d, report)
+    report = ValidationReport(passed=True, tolerance=_checked_tolerance(tolerance))
+    _entry_violations(space.dist, report, symmetric=True)
+    _triangle_scan(space.dist, report)
 
     hard_failures = (report.negative_entries or report.nonzero_diagonal
                      or report.symmetry_violations)

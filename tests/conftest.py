@@ -1,8 +1,9 @@
 """Shared brute-force oracles, deliberately independent of the package's
 own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
 subset enumeration instead of branch and bound, the greedy rule via
-Python sets instead of packed bitsets, and the file parsers over the whole
-text instead of one line at a time."""
+Python sets instead of packed bitsets, the greedy clique cover one pair
+at a time instead of by adjacency masks, and the file parsers over the
+whole text instead of one line at a time."""
 
 import itertools
 import math
@@ -129,6 +130,25 @@ def brute_max_packing(dist: np.ndarray, members, half: float) -> int:
                    for a, b in itertools.combinations(combo, 2)):
                 return size
     return best
+
+
+def brute_greedy_clique_cover(dist: np.ndarray, members, half: float) -> int:
+    """Greedy clique cover of a ball's conflict graph, one pair at a time:
+    each clique seeds with the lowest remaining member, then takes, in id
+    order, every later member closer than ``half`` to each clique member in
+    both directions.  Returns the number of cliques."""
+    remaining = sorted(members)
+    cliques = 0
+    while remaining:
+        clique, rest = [remaining[0]], []
+        for u in remaining[1:]:
+            if all(dist[u, w] < half and dist[w, u] < half for w in clique):
+                clique.append(u)
+            else:
+                rest.append(u)
+        remaining = rest
+        cliques += 1
+    return cliques
 
 
 def whole_text_lines(text: str) -> list:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from quasimetric import bound_consistent, save_matrix
+from quasimetric import (bound_consistent, density_constant, gen_random_bounded,
+                         save_matrix, to_max_metric)
 from quasimetric.cli import main
 
 BROKEN = [[0, 10, 1], [10, 0, 1], [1, 1, 0]]
@@ -168,6 +169,17 @@ class TestDimension:
                           "directional", "--direction", "outer", "--per-ball"],
                          capsys)
         assert rc == 0 and isinstance(doc["estimate"]["per_ball"], list)
+
+    def test_density_per_ball_matches_library(self, tmp_path, capsys):
+        path = tmp_path / "r20.txt"
+        qm = gen_random_bounded(20, 7).space
+        save_matrix(path, qm.dist)
+        rc, doc, _ = run(["dimension", "--input", str(path), "--constant", "density",
+                          "--symmetrize", "max", "--per-ball"], capsys)
+        est = density_constant(to_max_metric(qm))
+        assert rc == 0 and doc["n"] == 20
+        assert doc["estimate"].pop("log2_value") == pytest.approx(math.log2(est.value))
+        assert doc["estimate"] == json.loads(json.dumps(est.to_dict()))
 
     def test_nonzero_diagonal_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "diag.txt"
@@ -334,6 +346,12 @@ class TestTrainPredict:
         assert "--ids" in cap.err and "id 1" in cap.err
         rc, _, cap = run(predict + ["--ids", "99"], capsys)
         assert rc == 2 and cap.out == "" and "99" in cap.err
+        # the first id seen twice is named, also at the end of a long list
+        rc, _, cap = run(predict + ["--ids", "3,5,7,5,3"], capsys)
+        assert rc == 2 and "--ids repeats id 5" in cap.err
+        many = ",".join(map(str, [*range(20000), 6]))
+        rc, _, cap = run(predict + ["--ids", many], capsys)
+        assert rc == 2 and cap.out == "" and "--ids repeats id 6" in cap.err
 
     def test_bad_query_vectors_are_usage_errors(self, tmp_path, cycle8, capsys):
         labels = tmp_path / "labels.txt"

@@ -12,21 +12,33 @@ from quasimetric import (CoverageError, Direction, build_from_matrix,
                          log_star, to_max_metric, to_min_semimetric, transpose)
 from quasimetric import dimension
 
-from conftest import (brute_ball, brute_greedy_cover, brute_max_packing, brute_min_cover,
-                      random_quasimetric, tie_heavy_spaces)
+from conftest import (brute_ball, brute_greedy_clique_cover, brute_greedy_cover,
+                      brute_max_packing, brute_min_cover, random_quasimetric,
+                      tie_heavy_spaces)
 
 
-def greedy_reference(qm, direction):
-    """Per-ball rows from one set-based greedy oracle run per critical ball."""
+def ball_reference(qm, direction, value):
+    """Per-ball rows ``(center, radius, value(members, radius / 2))`` over
+    every critical ball, members from the brute-force ball in id order."""
     d = qm.dist if direction is Direction.OUTER else qm.dist.T
     rows = []
     for center in range(qm.n):
         for radius in sorted({float(v) for v in d[center] if 0 < v < math.inf}):
-            members = brute_ball(qm, center, radius, direction)
-            picks, _, _ = brute_greedy_cover(qm, members, range(qm.n), radius / 2,
-                                             direction)
-            rows.append((center, radius, len(picks)))
+            members = sorted(brute_ball(qm, center, radius, direction))
+            rows.append((center, radius, value(members, radius / 2)))
     return rows
+
+
+def greedy_reference(qm, direction):
+    """Per-ball rows from one set-based greedy oracle run per critical ball."""
+    return ball_reference(qm, direction, lambda members, half: len(
+        brute_greedy_cover(qm, members, range(qm.n), half, direction)[0]))
+
+
+def exact_reference(qm, direction):
+    """Per-ball rows from one exhaustive minimum cover per critical ball."""
+    return ball_reference(qm, direction, lambda members, half: brute_min_cover(
+        qm, members, range(qm.n), half, direction)[0])
 
 
 def assert_matches_reference(est, rows):
@@ -140,6 +152,12 @@ class TestDirectionalConstant:
         assert_matches_reference(directional_constant(qm, direction),
                                  greedy_reference(qm, direction))
 
+    @given(qm=tie_heavy_spaces(), direction=st.sampled_from(list(Direction)))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_matches_per_ball_oracle(self, qm, direction):
+        assert_matches_reference(directional_constant(qm, direction, method="exact"),
+                                 exact_reference(qm, direction))
+
     @pytest.mark.parametrize("block_cap", [dimension._BLOCK_CAP, 40 * 64 * 3])
     def test_greedy_kernel_matches_reference_at_n40(self, block_cap, monkeypatch):
         # the small cap splits every center's radii into chunks of three
@@ -198,6 +216,13 @@ class TestDoublingConstant:
         assert_matches_reference(doubling_constant(sym),
                                  greedy_reference(sym.as_quasimetric(), Direction.OUTER))
 
+    @given(qm=tie_heavy_spaces(allow_relaxed=False))
+    @settings(max_examples=25, deadline=None)
+    def test_exact_matches_per_ball_oracle(self, qm):
+        sym = to_max_metric(qm)
+        assert_matches_reference(doubling_constant(sym, method="exact"),
+                                 exact_reference(sym.as_quasimetric(), Direction.OUTER))
+
     def test_greedy_upper_bounds_exact(self, rng):
         for _ in range(6):
             sym = to_max_metric(random_quasimetric(rng, int(rng.integers(2, 9))))
@@ -230,6 +255,17 @@ class TestDensityConstant:
             sym = to_min_semimetric(random_quasimetric(rng, int(rng.integers(2, 9))))
             assert density_constant(sym).value >= \
                 density_constant(sym, method="exact").value
+
+    @given(qm=tie_heavy_spaces(allow_relaxed=False),
+           method=st.sampled_from(["greedy", "exact"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_ball_oracle(self, qm, method):
+        sym = to_max_metric(qm)
+        oracle = brute_max_packing if method == "exact" else brute_greedy_clique_cover
+        assert_matches_reference(
+            density_constant(sym, method=method),
+            ball_reference(sym.as_quasimetric(), Direction.OUTER,
+                           lambda members, half: oracle(sym.dist, members, half)))
 
     def test_method_validation(self):
         with pytest.raises(ValueError, match="method"):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from quasimetric import (Direction, Mode, build_from_matrix, check_symmetric_axioms,
-                         density_constant, directional_constant, doubling_constant,
-                         gen_line, gen_min_violation, set_distance, to_max_metric,
-                         to_min_semimetric, to_sum_metric)
-from quasimetric.transforms import SymmetricKind
+from quasimetric import (Direction, Mode, QuasiMetric, build_from_matrix,
+                         check_symmetric_axioms, density_constant, directional_constant,
+                         doubling_constant, gen_line, gen_min_violation, set_distance,
+                         to_max_metric, to_min_semimetric, to_sum_metric, validate)
+from quasimetric.space import _MAX_REPORTED
+from quasimetric.transforms import SymmetricKind, SymmetricSpace
 
 from conftest import random_quasimetric
 
@@ -78,6 +79,24 @@ class TestAxiomChecks:
         report = check_symmetric_axioms(broken)
         assert not report.passed
         assert report.symmetry_violations == [(0, 1, 1.0, 2.0)]
+
+    def test_long_listings_are_capped_and_flagged(self):
+        # 60 points: 1770 lopsided pairs, or 3540 negative entries
+        n = 60
+        upper = np.triu(np.ones((n, n)), 1)
+        lopsided = SymmetricSpace(dist=upper + 2 * upper.T, kind=SymmetricKind.METRIC,
+                                  origin="user")
+        report = check_symmetric_axioms(lopsided)
+        pairs = [(i, j, 1.0, 2.0) for i in range(n) for j in range(i + 1, n)]
+        assert report.symmetry_violations == pairs[:_MAX_REPORTED]
+        assert report.truncated and report.triangle_count == 0
+        negative = np.eye(n) - 1
+        cells = [(i, j, -1.0) for i in range(n) for j in range(n) if i != j]
+        for report in (check_symmetric_axioms(SymmetricSpace(
+                           dist=negative, kind=SymmetricKind.METRIC, origin="user")),
+                       validate(QuasiMetric(dist=negative))):
+            assert report.negative_entries == cells[:_MAX_REPORTED]
+            assert report.truncated and not report.passed
 
 
 class TestMinSymmetrizationGeometry:
