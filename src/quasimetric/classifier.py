@@ -30,8 +30,8 @@ import numpy as np
 from . import _text
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, Mode, QuasiMetric, _candidate_reads,
-                    set_distance, subspace)
+from .space import (Direction, Mode, QuasiMetric, _candidate_reads, _clean_ids,
+                    _nearest_centers, set_distance, subspace)
 
 
 class InseparableSampleError(ValueError):
@@ -66,9 +66,7 @@ class LabeledSample:
             raise ValueError("both classes must be non-empty")
         if self.pos & self.neg:
             raise ValueError(f"ids labeled twice: {sorted(self.pos & self.neg)}")
-        for i in self.pos | self.neg:
-            if not (0 <= i < self.space.n):
-                raise ValueError(f"labeled id {i} out of range")
+        _clean_ids(self.space.n, self.pos | self.neg, "labeled")
 
     @property
     def ids(self) -> list[int]:
@@ -243,8 +241,8 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
             cov = _cover.arbitrary_cover(qm, own, own, radius, direction)
 
         other = classes["neg" if class_key == "pos" else "pos"]
-        own_scores = _cover._distance_to_cover(qm, cov.cover_ids, own, direction)
-        opp_scores = _cover._distance_to_cover(qm, cov.cover_ids, other, direction)
+        own_scores, _ = _nearest_centers(qm, cov.cover_ids, own, direction)
+        opp_scores, _ = _nearest_centers(qm, cov.cover_ids, other, direction)
         covered_mask = np.array([i not in cov.uncovered for i in own])
         same_max = float(own_scores[covered_mask].max())
         opp_min = float(opp_scores.min())

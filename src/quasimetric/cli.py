@@ -447,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the quasi-metric axioms")
     _add_space_args(p)
     p.add_argument("--tolerance", type=float, default=None,
-                   help="relative triangle tolerance (default from "
-                        "QUASIMETRIC_TOLERANCE or 1e-9)")
+                   help="relative triangle tolerance (default 1e-9)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dimension", help="covering/packing constants")

@@ -22,7 +22,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .space import Direction, Mode, QuasiMetric, _clean_ids, diameter
+from .space import Direction, Mode, QuasiMetric, _clean_ids, _nearest_centers, diameter
+
+# Largest set the exact solvers take on: the target of an exact cover, and
+# the space of an exact covering or packing constant.
+EXACT_SIZE_CAP = 16
 
 # Assignments produced by the iterated schedule chain several triangle
 # inequalities, so they are certified up to the default validation slack.
@@ -94,12 +98,6 @@ def _coverage_matrix(qm: QuasiMetric, candidates: list[int], target: list[int],
                      alpha: float, direction: Direction) -> np.ndarray:
     """Boolean [candidate x target] matrix: does this ball contain that point?"""
     return qm.oriented(direction)[np.ix_(candidates, target)] <= alpha
-
-
-def _distance_to_cover(qm: QuasiMetric, centers: list[int], points: list[int],
-                       direction: Direction) -> np.ndarray:
-    """Per point, the least oriented distance from any of ``centers``."""
-    return qm.oriented(direction)[np.ix_(centers, points)].min(axis=0)
 
 
 def _packed(dists: np.ndarray, radii: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +191,8 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
     """
     direction = Direction(direction)
     _check_alpha(alpha)
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
+    tgt = _clean_ids(qm.n, target, "target").tolist()
+    cand = _clean_ids(qm.n, candidates, "candidate").tolist()
     # Whole 64-bit words per candidate row, padded in the same read (so no
     # second copy) with the first target's column, then inf; never active.
     dists = qm.oriented(direction)[np.ix_(cand, tgt + tgt[:1] * (-len(tgt) % 64))]
@@ -242,8 +240,8 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     """
     direction = Direction(direction)
     _check_alpha(alpha)
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
+    tgt = _clean_ids(qm.n, target, "target").tolist()
+    cand = _clean_ids(qm.n, candidates, "candidate").tolist()
     if order == "shuffled":
         rng = np.random.default_rng(seed)
         cand = [cand[i] for i in rng.permutation(len(cand))]
@@ -288,8 +286,8 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     _check_alpha(alpha, positive=True)
     if not lambda_hat >= 2:  # also rejects NaN
         raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
+    tgt = _clean_ids(qm.n, target, "target").tolist()
+    cand = _clean_ids(qm.n, candidates, "candidate").tolist()
 
     diam = diameter(qm)
     n_t = len(tgt)
@@ -328,16 +326,13 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
         # Identical to a plain greedy run; keep its direct assignment.
         assignment = final.assignment
     else:
-        ordered = sorted(cover_ids)
-        block = qm.oriented(direction)[np.ix_(ordered, tgt)]
-        stats.distance_evaluations += len(ordered) * len(tgt)
-        choice = np.argmin(block, axis=0)
-        dists = block[choice, np.arange(len(tgt))]
+        dists, owner = _nearest_centers(qm, sorted(cover_ids), tgt, direction)
+        stats.distance_evaluations += len(cover_ids) * len(tgt)
         if (dists > alpha * (1.0 + _CHAIN_RTOL)).any():
             worst = float(dists.max())
             raise CoverageError(
                 f"iterated schedule left a point at distance {worst} > {alpha}")
-        assignment = {tgt[i]: ordered[int(choice[i])] for i in range(len(tgt))}
+        assignment = dict(zip(tgt, owner.tolist()))
 
     return Cover(direction=direction, radius=alpha, cover_ids=cover_ids,
                  assignment=assignment, uncovered=set(), stats=stats)
@@ -355,16 +350,11 @@ def verify_cover(qm: QuasiMetric, cover: Cover, target: Iterable[int],
     """
     alpha = cover.radius if alpha is None else alpha
     direction = cover.direction if direction is None else Direction(direction)
-    tgt = _clean_ids(qm, target, "target")
-    if not cover.cover_ids:
-        raise ValueError("cover has no centers")
-    best = _distance_to_cover(qm, cover.cover_ids, tgt, direction)
-    offenders = []
-    for i, t in enumerate(tgt):
-        if t in cover.uncovered:
-            continue
-        if best[i] > alpha * (1.0 + tolerance):
-            offenders.append((t, float(best[i])))
+    tgt = _clean_ids(qm.n, target, "target")
+    centers = _clean_ids(qm.n, cover.cover_ids, "cover")
+    best, _ = _nearest_centers(qm, centers, tgt, direction)
+    over = (best > alpha * (1.0 + tolerance)) & ~np.isin(tgt, list(cover.uncovered))
+    offenders = list(zip(tgt[over].tolist(), best[over].tolist()))
     return (not offenders, offenders)
 
 
@@ -372,6 +362,13 @@ def verify_cover(qm: QuasiMetric, cover: Cover, target: Iterable[int],
 # Exact minimum cover (branch and bound over bitmasks).  Exponential in the
 # worst case; intended for small instances and for auditing the greedy rule.
 # ---------------------------------------------------------------------------
+
+def _masks(table: np.ndarray) -> list[int]:
+    """Each row of the boolean ``table`` as a Python int whose bit j is the
+    row's entry j."""
+    packed = np.packbits(table, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
 
 def min_cover_size_masks(universe: int, sets: list[int]) -> tuple[int, list[int]]:
     """Smallest collection of ``sets`` (bitmasks) covering ``universe``.
@@ -438,7 +435,7 @@ def min_cover_size_masks(universe: int, sets: list[int]) -> tuple[int, list[int]
 
 def exact_min_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
                     alpha: float, direction: Direction,
-                    size_cap: int = 16) -> tuple[int, list[int]]:
+                    size_cap: int = EXACT_SIZE_CAP) -> tuple[int, list[int]]:
     """Exact optimum cover size (and one witness) by branch and bound.
 
     Guarded by ``size_cap`` on the target size since the search is
@@ -446,12 +443,10 @@ def exact_min_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     """
     direction = Direction(direction)
     _check_alpha(alpha)
-    tgt = _clean_ids(qm, target, "target")
-    cand = _clean_ids(qm, candidates, "candidates")
+    tgt = _clean_ids(qm.n, target, "target").tolist()
+    cand = _clean_ids(qm.n, candidates, "candidate").tolist()
     if len(tgt) > size_cap:
         raise ValueError(f"exact cover limited to targets of size <= {size_cap}")
     covers = _coverage_matrix(qm, cand, tgt, alpha, direction)
-    universe = (1 << len(tgt)) - 1
-    sets = [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in covers]
-    size, picked = min_cover_size_masks(universe, sets)
+    size, picked = min_cover_size_masks((1 << len(tgt)) - 1, _masks(covers))
     return size, sorted(cand[i] for i in picked)

@@ -27,8 +27,6 @@ from . import cover as _cover
 from .space import Direction, QuasiMetric
 from .transforms import SymmetricSpace
 
-EXACT_SIZE_CAP = 16
-
 
 def log_iter(x: float, i: int) -> float:
     """i-fold base-2 logarithm; i=0 returns x unchanged.
@@ -176,7 +174,7 @@ def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
 
 def directional_constant(qm: QuasiMetric, direction: Direction,
                          method: str = "greedy",
-                         exact_cap: int = EXACT_SIZE_CAP) -> ConstantEstimate:
+                         exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
     """Covering constant of the given orientation.
 
     Works on relaxed spaces too: infinite distances simply never fall inside
@@ -199,14 +197,14 @@ def _symmetric_view(space: SpaceLike, what: str) -> QuasiMetric:
 
 
 def doubling_constant(space: SpaceLike, method: str = "greedy",
-                      exact_cap: int = EXACT_SIZE_CAP) -> ConstantEstimate:
+                      exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
     """Doubling constant of a symmetric space (cover balls by half-balls)."""
     return _constant(_symmetric_view(space, "doubling_constant"), "doubling", method,
                      exact_cap)
 
 
 def density_constant(space: SpaceLike, method: str = "greedy",
-                     exact_cap: int = EXACT_SIZE_CAP) -> ConstantEstimate:
+                     exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
     """Density constant: largest r/2-separated subset of any r-ball.
 
     ``exact`` maximizes by branch and bound.  ``greedy`` reports a greedy
@@ -219,15 +217,8 @@ def density_constant(space: SpaceLike, method: str = "greedy",
 
 def _max_packing(d: np.ndarray, members: list[int], half: float) -> int:
     """Largest subset of members with pairwise distance >= half (exact)."""
-    m = len(members)
-    if m <= 1:
-        return m
-    conflict = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if d[members[a], members[b]] < half:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
+    # d is symmetric here; a member's own bit is cleared before it is read.
+    conflict = _cover._masks(d[np.ix_(members, members)] < half)
     memo: dict[int, int] = {}
 
     def mis(allowed: int) -> int:
@@ -244,7 +235,7 @@ def _max_packing(d: np.ndarray, members: list[int], half: float) -> int:
         memo[allowed] = best
         return best
 
-    return mis((1 << m) - 1)
+    return mis((1 << len(members)) - 1)
 
 
 def _greedy_clique_cover(d: np.ndarray, members: list[int], half: float) -> int:

@@ -15,7 +15,6 @@ finite.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,9 +25,6 @@ import numpy as np
 from . import _text
 
 DEFAULT_TOLERANCE = 1e-9
-
-# Environment override for the validation tolerance, mainly for the CLI.
-TOLERANCE_ENV_VAR = "QUASIMETRIC_TOLERANCE"
 
 
 class Mode(str, Enum):
@@ -49,20 +45,6 @@ class Direction(str, Enum):
 
     def flipped(self) -> "Direction":
         return Direction.INNER if self is Direction.OUTER else Direction.OUTER
-
-
-def default_tolerance() -> float:
-    """Validation tolerance, overridable via QUASIMETRIC_TOLERANCE."""
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {TOLERANCE_ENV_VAR} value: {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{TOLERANCE_ENV_VAR} must be non-negative")
-    return value
 
 
 @dataclass
@@ -273,10 +255,10 @@ _SCAN_BLOCK_CAP = 1 << 15
 
 
 def _checked_tolerance(tolerance: Optional[float]) -> float:
-    """``tolerance``, or :func:`default_tolerance` when None; NaN and
-    negative values are rejected."""
+    """``tolerance``, or ``DEFAULT_TOLERANCE`` when None; NaN and negative
+    values are rejected."""
     if tolerance is None:
-        tolerance = default_tolerance()
+        tolerance = DEFAULT_TOLERANCE
     if not tolerance >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     return tolerance
@@ -385,23 +367,40 @@ def ball(qm: QuasiMetric, center: int, radius: float, direction: Direction) -> s
     return set(np.nonzero(qm.oriented(direction)[center] <= radius)[0].tolist())
 
 
-def _clean_ids(qm: QuasiMetric, ids: Iterable[int], what: str) -> list[int]:
-    """``ids`` sorted and deduplicated; empty, or holding an id outside the
-    space (the least such is named), is an error."""
-    out = sorted(set(int(i) for i in ids))
-    if not out:
-        raise ValueError(f"{what} must be non-empty")
-    for i in out:
-        if not (0 <= i < qm.n):
-            raise ValueError(f"{what} id {i} out of range")
+def _clean_ids(n: int, ids: Iterable[int], what: str) -> np.ndarray:
+    """``ids`` as a sorted int64 array without repeats.  An empty set, or an
+    id outside ``0..n-1`` (the least such is named), is an error."""
+    ids = list(ids)
+    if not ids:
+        raise ValueError(f"expected a non-empty {what} set")
+    try:
+        out = np.sort(np.fromiter(ids, np.int64, len(ids)))
+    except OverflowError:  # an id beyond int64; exact ints sort and compare alike
+        out = np.sort(np.array([int(i) for i in ids], dtype=object))
+    out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    if out[0] < 0 or out[-1] >= n:
+        bad = out[0] if out[0] < 0 else out[np.searchsorted(out, n)]
+        raise ValueError(f"{what} id {int(bad)} out of range")
     return out
+
+
+def _nearest_centers(qm: QuasiMetric, centers, points,
+                     direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the least oriented read ``qm.oriented(direction)[c, p]``
+    over ``centers`` (ids of the space), and the center giving it.  Ties,
+    and a point every center reads as inf, go to the first center in
+    ``centers``: the lowest id when they are sorted."""
+    # One row per point: an argmin down the columns would copy the block.
+    block = qm.oriented(direction).T[np.ix_(points, centers)]
+    choice = block.argmin(axis=1)
+    return block[np.arange(len(block)), choice], np.asarray(centers)[choice]
 
 
 def set_distance(qm: QuasiMetric, sources: Iterable[int], targets: Iterable[int]) -> float:
     """Minimum of dist(a, b) over a in sources, b in targets (order matters)."""
-    src = _clean_ids(qm, sources, "sources")
-    tgt = _clean_ids(qm, targets, "targets")
-    return float(qm.dist[np.ix_(src, tgt)].min())
+    src = _clean_ids(qm.n, sources, "source")
+    tgt = _clean_ids(qm.n, targets, "target")
+    return float(_nearest_centers(qm, src, tgt, Direction.OUTER)[0].min())
 
 
 def diameter(qm: QuasiMetric) -> float:
@@ -427,26 +426,16 @@ def nearest(qm: QuasiMetric, candidates: Iterable[int],
 
 def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int],
                      query, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct candidates and one oriented distance read for each.
+    """Sorted distinct candidates, checked by :func:`_clean_ids`, and one
+    oriented distance read for each.
 
     For a point id ``q`` of ``qm`` the read for candidate ``c`` is
     ``qm.oriented(direction)[c, q]``.  A :class:`QueryVectors` supplies
     them itself, from its ``from_query`` side for INNER and its ``to_query``
     side for OUTER, of length ``n`` or of length ``len(candidates)`` aligned
     with the sorted candidates; NaN and negative entries are rejected.
-    An out-of-range candidate is reported by its least id.
     """
-    ids = list(candidates)
-    if not ids:
-        raise ValueError("nearest requires a non-empty candidate set")
-    try:
-        cand = np.sort(np.fromiter(ids, np.int64, len(ids)))
-    except OverflowError:  # an id beyond int64; exact ints sort and compare alike
-        cand = np.sort(np.array([int(i) for i in ids], dtype=object))
-    cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
-    if cand[0] < 0 or cand[-1] >= n:
-        bad = cand[0] if cand[0] < 0 else cand[np.searchsorted(cand, n)]
-        raise ValueError(f"id {int(bad)} out of range")
+    cand = _clean_ids(n, candidates, "candidate")
     if isinstance(query, QueryVectors):
         side = "from_query" if direction is Direction.INNER else "to_query"
         vec = getattr(query, side)
@@ -479,7 +468,7 @@ def transpose(qm: QuasiMetric) -> QuasiMetric:
 
 def subspace(qm: QuasiMetric, ids: Iterable[int]) -> QuasiMetric:
     """Induced subspace on the given ids, rows/columns in sorted id order."""
-    keep = _clean_ids(qm, ids, "subspace")
+    keep = _clean_ids(qm.n, ids, "subspace")
     return QuasiMetric(dist=qm.dist[np.ix_(keep, keep)].copy(), mode=qm.mode)
 
 

@@ -229,11 +229,11 @@ def whole_text_queries(text: str, n: int) -> list:
 
 
 @st.composite
-def tie_heavy_spaces(draw, allow_relaxed=True):
-    """Closures of integer weights 1-3; relaxed ones also miss edges (inf)."""
+def tie_heavy_spaces(draw, allow_relaxed=True, weights=(1.0, 2.0, 3.0)):
+    """Closures of small integer ``weights``; relaxed ones also miss edges (inf)."""
     n = draw(st.integers(min_value=1, max_value=12))
     relaxed = allow_relaxed and draw(st.booleans())
-    weights = [1.0, 2.0, 3.0] + ([math.inf] if relaxed else [])
+    weights = list(weights) + ([math.inf] if relaxed else [])
     w = draw(st.lists(st.sampled_from(weights), min_size=n * n, max_size=n * n))
     return build_from_matrix(floyd_warshall(np.array(w).reshape(n, n)),
                              mode=Mode.RELAXED if relaxed else Mode.STRICT)

@@ -54,6 +54,8 @@ class TestValidate:
         assert doc["report"]["passed"] is False
         assert doc["report"]["triangle_count"] >= 1
         assert "d(i,j)" in cap.err  # violation table went to stderr
+        rc, doc, _ = run(["validate", "--input", str(path), "--tolerance", "10"], capsys)
+        assert rc == 0 and doc["report"]["tolerance"] == 10.0
 
     def test_infinite_entry_in_strict_mode_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "inf.txt"
@@ -68,17 +70,6 @@ class TestValidate:
     def test_missing_file(self, capsys):
         rc, _, cap = run(["validate", "--input", "/nonexistent/x.txt"], capsys)
         assert rc == 2 and "error:" in cap.err
-
-    def test_env_var_tolerance(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "broken.txt"
-        save_matrix(path, BROKEN)
-        monkeypatch.setenv("QUASIMETRIC_TOLERANCE", "10")
-        rc, doc, _ = run(["validate", "--input", str(path)], capsys)
-        assert rc == 0 and doc["report"]["tolerance"] == 10.0
-        # an explicit flag beats the environment
-        rc, _, _ = run(["validate", "--input", str(path), "--tolerance", "1e-9"],
-                       capsys)
-        assert rc == 1
 
     def test_nonzero_diagonal_reported_exit_one(self, tmp_path, capsys):
         path = tmp_path / "diag.txt"

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,20 +14,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import quasimetric
-from quasimetric import (Direction, Mode, QuasiMetric, QueryVectors, ball,
-                         build_from_digraph, build_from_matrix, check_symmetric_axioms,
-                         diameter, gen_cycle, gen_line, nearest, set_distance, subspace,
-                         to_min_semimetric, transpose, validate)
+from quasimetric import (Cover, CoverStats, Direction, Mode, QuasiMetric, QueryVectors,
+                         arbitrary_cover, ball, build_classifier, build_from_digraph,
+                         build_from_matrix, check_symmetric_axioms, diameter,
+                         exact_min_cover, gen_cycle, gen_line, greedy_cover,
+                         greedy_cover_eps, iterated_cover, make_sample, nearest, predict,
+                         set_distance, subspace, to_min_semimetric, transpose, validate,
+                         verify_cover)
 from quasimetric import _text
 from quasimetric import space as space_module
 from quasimetric.cli import parse_queries_text
-from quasimetric.space import (_MAX_REPORTED, format_value, load_edge_list, load_matrix,
-                               parse_edge_list_text, parse_matrix_text, save_edge_list,
-                               save_matrix)
+from quasimetric.space import (_MAX_REPORTED, _nearest_centers, format_value,
+                               load_edge_list, load_matrix, parse_edge_list_text,
+                               parse_matrix_text, save_edge_list, save_matrix)
 
 from conftest import (brute_ball, brute_nearest, brute_triangle_violations,
-                      floyd_warshall, random_quasimetric, whole_text_edge_list,
-                      whole_text_matrix, whole_text_queries)
+                      floyd_warshall, random_quasimetric, tie_heavy_spaces,
+                      whole_text_edge_list, whole_text_matrix, whole_text_queries)
 
 INF = math.inf
 
@@ -463,6 +467,64 @@ class TestNearest:
     def test_all_infinite_reads_keep_lowest_id(self):
         res = nearest(gen_line(5).space, {4, 3}, 1, Direction.OUTER)  # d(3, 1) = inf
         assert (res.index, res.distance, res.evaluations) == (3, INF, 2)
+
+
+class TestNearestCenters:
+    @given(qm=tie_heavy_spaces(weights=(0.0, 1.0, 2.0)), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_scan(self, qm, data):
+        ids = st.integers(min_value=0, max_value=qm.n - 1)
+        centers = sorted(data.draw(st.sets(ids, min_size=1)))
+        points = data.draw(st.lists(ids, max_size=2 * qm.n))
+        direction = data.draw(st.sampled_from(list(Direction)))
+        reads, owner = _nearest_centers(qm, centers, points, direction)
+        assert list(zip(owner.tolist(), reads.tolist())) == \
+            [brute_nearest(qm, centers, p, direction) for p in points]
+
+
+def _six_point_classifier():
+    labels = {0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: -1}
+    return build_classifier(make_sample(gen_cycle(6).space, labels))
+
+
+# Every public entry point that takes a set of point ids, called on the
+# 6-point cycle with ``ids`` in that set's place.
+_ID_CALLERS = {
+    "greedy_cover target": lambda qm, ids: greedy_cover(qm, ids, range(6), 1.0, "outer"),
+    "greedy_cover candidates":
+        lambda qm, ids: greedy_cover(qm, range(6), ids, 1.0, "outer"),
+    "greedy_cover_eps": lambda qm, ids: greedy_cover_eps(qm, ids, range(6), 1.0,
+                                                         "inner", 0.5),
+    "arbitrary_cover": lambda qm, ids: arbitrary_cover(qm, range(6), ids, 1.0, "outer"),
+    "iterated_cover": lambda qm, ids: iterated_cover(qm, ids, range(6), 3.0, "inner", 2.0),
+    "exact_min_cover": lambda qm, ids: exact_min_cover(qm, range(6), ids, 1.0, "outer"),
+    "verify_cover target":
+        lambda qm, ids: verify_cover(qm, greedy_cover(qm, range(6), range(6), 1.0,
+                                                      "outer"), ids),
+    "verify_cover centers":
+        lambda qm, ids: verify_cover(qm, Cover(Direction.OUTER, 1.0, list(ids), {}, set(),
+                                               CoverStats()), range(6)),
+    "set_distance sources": lambda qm, ids: set_distance(qm, ids, [0]),
+    "set_distance targets": lambda qm, ids: set_distance(qm, [0], ids),
+    "subspace": lambda qm, ids: subspace(qm, ids),
+    "nearest": lambda qm, ids: nearest(qm, ids, 0, "inner"),
+    "predict": lambda qm, ids: predict(replace(_six_point_classifier(), cover_ids=ids), 0),
+    "make_sample": lambda qm, ids: make_sample(
+        qm, {i: 1 if t % 2 else -1 for t, i in enumerate(ids)}),
+}
+
+
+class TestIdCheck:
+    @pytest.mark.parametrize("caller", sorted(_ID_CALLERS))
+    @pytest.mark.parametrize("ids,least_bad", [
+        ([0, 1, 9, 7], 7),
+        ([2 ** 70, 3, 6], 6),
+        ([4, -1, 2 ** 70, -3], -3),
+        ([1, -2 ** 80, 2 ** 70], -2 ** 80),
+    ])
+    def test_every_caller_names_the_least_bad_id(self, caller, ids, least_bad):
+        with pytest.raises(ValueError, match=f" id {least_bad} out of range"):
+            _ID_CALLERS[caller](gen_cycle(6).space, ids)
 
 
 class TestTransposeAndSubspace:
