@@ -30,8 +30,8 @@ import numpy as np
 from . import _text
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, Mode, QuasiMetric, _candidate_reads, _clean_ids,
-                    _nearest_centers, set_distance, subspace)
+from .space import (Direction, QuasiMetric, _candidate_reads, _clean_ids,
+                    _nearest_centers, _require_strict, set_distance, subspace)
 
 
 class InseparableSampleError(ValueError):
@@ -114,7 +114,8 @@ class CompressedClassifier:
     ``direction`` is the orientation in which distances to the cover are
     read at prediction time: OUTER reads dist(center, x), INNER reads
     dist(x, center).  A query within ``threshold`` of the cover gets
-    ``cover_label``, otherwise the opposite label.
+    ``cover_label``, otherwise the opposite label.  The cover ids are
+    checked against ``n`` once, on construction.
     """
 
     kind: str
@@ -130,6 +131,11 @@ class CompressedClassifier:
     eps: Optional[float] = None
     candidates: list[CandidateSummary] = field(default_factory=list)
     space: Optional[QuasiMetric] = None  # excluded from serialization
+    # The cover ids sorted and checked, as ``predict`` reads them; not serialized.
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._centers = _clean_ids(self.n, self.cover_ids, "cover")
 
     @property
     def k(self) -> int:
@@ -196,13 +202,14 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     neg-outer.
     """
     qm = sample.space
-    if qm.mode is not Mode.STRICT or qm.has_infinite:
-        raise ValueError("build_classifier requires a strict-mode space")
+    _require_strict(qm, "build_classifier")
     if algorithm not in ("greedy", "iterated", "arbitrary"):
         raise ValueError(f"unknown cover algorithm {algorithm!r}")
     if mode not in ("consistent", "eps"):
         raise ValueError(f"mode must be 'consistent' or 'eps', got {mode!r}")
     if mode == "eps":
+        if algorithm != "greedy":
+            raise ValueError(f"{algorithm} covers do not support eps mode")
         if eps is None or not (0 < eps < 1):
             raise ValueError("eps mode needs 0 < eps < 1")
     elif eps is not None:
@@ -210,16 +217,6 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
 
     m = margins(sample)
     classes = {"pos": sorted(sample.pos), "neg": sorted(sample.neg)}
-    lam_cache: dict[tuple[str, Direction], float] = {}
-
-    def lam_for(class_key: str, direction: Direction) -> float:
-        if lambda_hat is not None:
-            return lambda_hat
-        key = (class_key, direction)
-        if key not in lam_cache:
-            est = directional_constant(subspace(qm, classes[class_key]), direction)
-            lam_cache[key] = max(2.0, float(est.value))
-        return lam_cache[key]
 
     summaries: list[CandidateSummary] = []
     survivors: list[tuple[int, int, dict]] = []  # (size, order, payload)
@@ -231,13 +228,11 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
         elif algorithm == "greedy":
             cov = _cover.greedy_cover_eps(qm, own, own, radius, direction, eps)
         elif algorithm == "iterated":
-            if mode == "eps":
-                raise ValueError("iterated covers do not support eps mode")
-            cov = _cover.iterated_cover(qm, own, own, radius, direction,
-                                        lam_for(class_key, direction))
+            lam = lambda_hat
+            if lam is None:  # each kind has its own (class, direction) pair
+                lam = max(2.0, float(directional_constant(subspace(qm, own), direction).value))
+            cov = _cover.iterated_cover(qm, own, own, radius, direction, lam)
         else:
-            if mode == "eps":
-                raise ValueError("arbitrary covers do not support eps mode")
             cov = _cover.arbitrary_cover(qm, own, own, radius, direction)
 
         other = classes["neg" if class_key == "pos" else "pos"]
@@ -291,8 +286,8 @@ def predict(clf: CompressedClassifier, query,
     or of length k aligned with the sorted cover ids.
     """
     qm = space if space is not None else clf.space
-    cand, reads = _candidate_reads(qm, clf.n, clf.cover_ids, query, clf.direction)
-    score, evaluations = float(reads.min()), len(cand)
+    reads = _candidate_reads(qm, clf.n, clf._centers, query, clf.direction)
+    score, evaluations = float(reads.min()), len(reads)
     label = clf.cover_label if score <= clf.threshold else -clf.cover_label
     return PredictResult(label=label, score=score, evaluations=evaluations)
 

@@ -22,7 +22,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .space import Direction, Mode, QuasiMetric, _clean_ids, _nearest_centers, diameter
+from .space import (Direction, QuasiMetric, _clean_ids, _nearest_centers, _require_strict,
+                    diameter)
 
 # Largest set the exact solvers take on: the target of an exact cover, and
 # the space of an exact covering or packing constant.
@@ -249,18 +250,12 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
         raise ValueError(f"unknown order {order!r}")
 
     table = _coverage_matrix(qm, cand, tgt, alpha, direction)
-    stats = CoverStats(distance_evaluations=len(cand) * len(tgt))
-    active = np.ones(len(tgt), dtype=bool)
-    picks: list[int] = []
-    for ci in range(len(cand)):
-        newly = table[ci] & active
-        stats.iterations += 1
-        if not newly.any():
-            continue
-        active &= ~newly
-        picks.append(ci)
-        if not active.any():
-            break
+    # Scanning in order keeps a candidate exactly when it is the first to
+    # hold some target: each held target's first holder, in scan order.
+    hit = table.any(axis=0)
+    picks = np.unique(table.argmax(axis=0)[hit]).tolist()
+    stats = CoverStats(iterations=picks[-1] + 1 if hit.all() else len(cand),
+                       distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(table, picks, cand, tgt, alpha, direction, stats)
 
 
@@ -281,8 +276,7 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     final per-point assignment is recomputed against the finished cover.
     """
     direction = Direction(direction)
-    if qm.mode is not Mode.STRICT or qm.has_infinite:
-        raise ValueError("iterated_cover requires a strict-mode space")
+    _require_strict(qm, "iterated_cover")
     _check_alpha(alpha, positive=True)
     if not lambda_hat >= 2:  # also rejects NaN
         raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
@@ -434,19 +428,18 @@ def min_cover_size_masks(universe: int, sets: list[int]) -> tuple[int, list[int]
 
 
 def exact_min_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                    alpha: float, direction: Direction,
-                    size_cap: int = EXACT_SIZE_CAP) -> tuple[int, list[int]]:
+                    alpha: float, direction: Direction) -> tuple[int, list[int]]:
     """Exact optimum cover size (and one witness) by branch and bound.
 
-    Guarded by ``size_cap`` on the target size since the search is
+    Targets are limited to ``EXACT_SIZE_CAP`` points since the search is
     exponential in the worst case.
     """
     direction = Direction(direction)
     _check_alpha(alpha)
     tgt = _clean_ids(qm.n, target, "target").tolist()
     cand = _clean_ids(qm.n, candidates, "candidate").tolist()
-    if len(tgt) > size_cap:
-        raise ValueError(f"exact cover limited to targets of size <= {size_cap}")
+    if len(tgt) > EXACT_SIZE_CAP:
+        raise ValueError(f"exact cover limited to targets of size <= {EXACT_SIZE_CAP}")
     covers = _coverage_matrix(qm, cand, tgt, alpha, direction)
     size, picked = min_cover_size_masks((1 << len(tgt)) - 1, _masks(covers))
     return size, sorted(cand[i] for i in picked)

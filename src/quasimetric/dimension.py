@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import cover as _cover
 from .space import Direction, QuasiMetric
-from .transforms import SymmetricSpace
 
 
 def log_iter(x: float, i: int) -> float:
@@ -137,7 +136,7 @@ def _greedy_sweep(d: np.ndarray):
                 yield center, radius, size
 
 
-def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
+def _constant(qm: QuasiMetric, quantity: str, method: str,
               direction: Optional[Direction] = None) -> ConstantEstimate:
     """Sweep every critical ball of ``qm``, OUTER unless ``direction`` says
     otherwise, for ``quantity``: the ball's half-radius cover size, or for
@@ -145,8 +144,9 @@ def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
     ball in id order; the witness is the first maximum."""
     if method not in ("greedy", "exact"):
         raise ValueError(f"method must be 'greedy' or 'exact', got {method!r}")
-    if method == "exact" and qm.n > exact_cap:
-        raise ValueError(f"exact method limited to n <= {exact_cap} (got n={qm.n})")
+    if method == "exact" and qm.n > _cover.EXACT_SIZE_CAP:
+        raise ValueError(f"exact method limited to n <= {_cover.EXACT_SIZE_CAP} "
+                         f"(got n={qm.n})")
     orientation = direction or Direction.OUTER
     d = qm.oriented(orientation)
     if quantity != "density" and method == "greedy":
@@ -158,7 +158,7 @@ def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
                 ball, half = np.sort(perm[:m]).tolist(), radius / 2.0
                 if quantity != "density":
                     size, _ = _cover.exact_min_cover(qm, ball, range(qm.n), half,
-                                                     orientation, size_cap=qm.n)
+                                                     orientation)
                 elif method == "exact":
                     size = _max_packing(d, ball, half)
                 else:
@@ -173,46 +173,34 @@ def _constant(qm: QuasiMetric, quantity: str, method: str, exact_cap: int,
 
 
 def directional_constant(qm: QuasiMetric, direction: Direction,
-                         method: str = "greedy",
-                         exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
+                         method: str = "greedy") -> ConstantEstimate:
     """Covering constant of the given orientation.
 
     Works on relaxed spaces too: infinite distances simply never fall inside
     any ball, so only finite realized radii are swept.
     """
-    return _constant(qm, "directional", method, exact_cap, Direction(direction))
+    return _constant(qm, "directional", method, Direction(direction))
 
 
-SpaceLike = Union[QuasiMetric, SymmetricSpace]
-
-
-def _symmetric_view(space: SpaceLike, what: str) -> QuasiMetric:
-    if isinstance(space, SymmetricSpace):
-        qm = space.as_quasimetric()
-    else:
-        qm = space
+def _symmetric_view(qm: QuasiMetric, what: str) -> QuasiMetric:
     if not np.array_equal(qm.dist, qm.dist.T):
         raise ValueError(f"{what} requires a symmetric distance matrix")
     return qm
 
 
-def doubling_constant(space: SpaceLike, method: str = "greedy",
-                      exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
+def doubling_constant(space: QuasiMetric, method: str = "greedy") -> ConstantEstimate:
     """Doubling constant of a symmetric space (cover balls by half-balls)."""
-    return _constant(_symmetric_view(space, "doubling_constant"), "doubling", method,
-                     exact_cap)
+    return _constant(_symmetric_view(space, "doubling_constant"), "doubling", method)
 
 
-def density_constant(space: SpaceLike, method: str = "greedy",
-                     exact_cap: int = _cover.EXACT_SIZE_CAP) -> ConstantEstimate:
+def density_constant(space: QuasiMetric, method: str = "greedy") -> ConstantEstimate:
     """Density constant: largest r/2-separated subset of any r-ball.
 
     ``exact`` maximizes by branch and bound.  ``greedy`` reports a greedy
     clique-cover upper bound (any two points of a clique are closer than
     r/2, so a packing takes at most one point per clique).
     """
-    return _constant(_symmetric_view(space, "density_constant"), "density", method,
-                     exact_cap)
+    return _constant(_symmetric_view(space, "density_constant"), "density", method)
 
 
 def _max_packing(d: np.ndarray, members: list[int], half: float) -> int:

@@ -111,6 +111,11 @@ class QuasiMetric:
         return self.dist if Direction(direction) is Direction.OUTER else self.dist.T
 
 
+def _require_strict(qm: QuasiMetric, what: str) -> None:
+    if qm.mode is not Mode.STRICT or qm.has_infinite:
+        raise ValueError(f"{what} requires a strict-mode space with finite distances")
+
+
 @dataclass
 class QueryVectors:
     """Distances between an out-of-sample query point and the space.
@@ -418,24 +423,24 @@ def nearest(qm: QuasiMetric, candidates: Iterable[int],
     INNER minimizes distance from the query to a candidate, OUTER the
     reverse.  Ties break to the lowest candidate id.
     """
-    cand, reads = _candidate_reads(qm, qm.n, candidates, query, Direction(direction))
+    cand = _clean_ids(qm.n, candidates, "candidate")
+    reads = _candidate_reads(qm, qm.n, cand, query, Direction(direction))
     best = int(np.argmin(reads))  # first minimum: lowest id, cand[0] if all inf
     return NearestResult(index=int(cand[best]), distance=float(reads[best]),
                          evaluations=len(cand))
 
 
-def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int],
-                     query, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct candidates, checked by :func:`_clean_ids`, and one
-    oriented distance read for each.
+def _candidate_reads(qm: Optional[QuasiMetric], n: int, cand: np.ndarray,
+                     query, direction: Direction) -> np.ndarray:
+    """One oriented distance read for each of the candidates ``cand``, which
+    :func:`_clean_ids` has already sorted and checked against ``n``.
 
     For a point id ``q`` of ``qm`` the read for candidate ``c`` is
     ``qm.oriented(direction)[c, q]``.  A :class:`QueryVectors` supplies
     them itself, from its ``from_query`` side for INNER and its ``to_query``
-    side for OUTER, of length ``n`` or of length ``len(candidates)`` aligned
-    with the sorted candidates; NaN and negative entries are rejected.
+    side for OUTER, of length ``n`` or of length ``len(cand)`` aligned
+    with ``cand``; NaN and negative entries are rejected.
     """
-    cand = _clean_ids(n, candidates, "candidate")
     if isinstance(query, QueryVectors):
         side = "from_query" if direction is Direction.INNER else "to_query"
         vec = getattr(query, side)
@@ -450,7 +455,7 @@ def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int
                 f"or {len(cand)} (candidate count)")
         if np.isnan(arr).any() or (arr < 0).any():
             raise ValueError(f"query {side} side has a NaN or negative entry")
-        return cand, arr[cand] if arr.shape[0] == n else arr
+        return arr[cand] if arr.shape[0] == n else arr
     if qm is None:
         raise ValueError("a point-id query requires the training space")
     if qm.n != n:
@@ -458,7 +463,7 @@ def _candidate_reads(qm: Optional[QuasiMetric], n: int, candidates: Iterable[int
     q = int(query)
     if not (0 <= q < qm.n):
         raise ValueError(f"query id {q} out of range")
-    return cand, qm.oriented(direction)[cand, q]
+    return qm.oriented(direction)[cand, q]
 
 
 def transpose(qm: QuasiMetric) -> QuasiMetric:

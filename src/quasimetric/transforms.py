@@ -5,7 +5,8 @@ Three standard constructions: the entrywise maximum of the two directions
 positive, but the triangle inequality can fail), and the entrywise sum
 (again a metric).  All require a strict-mode input; with infinite entries
 max and sum can make distinct points mutually unreachable and min can hide
-one-way unreachability.
+one-way unreachability.  Each result is a :class:`SymmetricSpace`, a
+strict-mode ``QuasiMetric`` that also records its construction's guarantee.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .space import (Mode, QuasiMetric, ValidationReport, _checked_tolerance,
-                    _entry_violations, _triangle_scan)
+from .space import (QuasiMetric, ValidationReport, _checked_tolerance,
+                    _entry_violations, _require_strict, _triangle_scan)
 
 
 class SymmetricKind(str, Enum):
@@ -24,34 +25,16 @@ class SymmetricKind(str, Enum):
     SEMIMETRIC = "semimetric"
 
 
-@dataclass
-class SymmetricSpace:
-    """A symmetric distance matrix plus what it claims to be.
+@dataclass(kw_only=True)
+class SymmetricSpace(QuasiMetric):
+    """A symmetric quasi-metric plus what its construction claims it is.
 
     ``kind`` records the construction's guarantee: METRIC promises the
     triangle inequality, SEMIMETRIC only symmetry and positivity.
     """
 
-    dist: np.ndarray
     kind: SymmetricKind
     origin: str
-
-    def __post_init__(self) -> None:
-        self.dist = np.asarray(self.dist, dtype=np.float64)
-        self.dist.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-    def as_quasimetric(self) -> QuasiMetric:
-        """View as a (symmetric) quasi-metric space for ball/cover queries."""
-        return QuasiMetric(dist=self.dist.copy(), mode=Mode.STRICT)
-
-
-def _require_strict(qm: QuasiMetric, what: str) -> None:
-    if qm.mode is not Mode.STRICT or qm.has_infinite:
-        raise ValueError(f"{what} requires a strict-mode space with finite distances")
 
 
 def to_max_metric(qm: QuasiMetric) -> SymmetricSpace:

@@ -1,7 +1,8 @@
 """Shared brute-force oracles, deliberately independent of the package's
 own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
 subset enumeration instead of branch and bound, the greedy rule via
-Python sets instead of packed bitsets, the greedy clique cover one pair
+Python sets instead of packed bitsets, the arbitrary cover as a scan
+instead of one argmax, the greedy clique cover one pair
 at a time instead of by adjacency masks, and the file parsers over the
 whole text instead of one line at a time."""
 
@@ -88,6 +89,29 @@ def brute_greedy_cover(qm: QuasiMetric, target, candidates, alpha: float,
             assignment[x] = best
         uncovered -= newly
     return picks, assignment, uncovered
+
+
+def brute_arbitrary_cover(qm: QuasiMetric, target, scan, alpha: float,
+                          direction: Direction):
+    """The arbitrary cover as a scan: visit the candidates ``scan`` in order
+    and keep one whose ball holds a still-uncovered target, assigning it
+    every such target; stop once all are covered.  Returns ``(picks,
+    assignment, uncovered, iterations)``, ``iterations`` counting the
+    candidates visited."""
+    uncovered = set(target)
+    picks, assignment, iterations = [], {}, 0
+    for c in scan:
+        iterations += 1
+        newly = {x for x in uncovered if covers_point(qm, c, x, alpha, direction)}
+        if not newly:
+            continue
+        picks.append(c)
+        for x in newly:
+            assignment[x] = c
+        uncovered -= newly
+        if not uncovered:
+            break
+    return picks, assignment, uncovered, iterations
 
 
 def brute_nearest(qm: QuasiMetric, candidates, q: int, direction: Direction):

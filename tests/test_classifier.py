@@ -176,6 +176,15 @@ class TestBuildClassifier:
         with pytest.raises(ValueError, match="algorithm"):
             build_classifier(sample, algorithm="magic")
 
+    @pytest.mark.parametrize("algorithm", ["iterated", "arbitrary"])
+    def test_eps_mode_rejected_before_margins(self, algorithm):
+        # The inseparable sample would fail its margins; the mode check comes first.
+        inseparable = make_sample(build_from_matrix([[0, 0, 5], [5, 0, 5], [5, 5, 0]]),
+                                  {0: 1, 1: -1, 2: -1})
+        for sample in (four_point_sample(), inseparable):
+            with pytest.raises(ValueError, match=f"{algorithm} covers do not support eps"):
+                build_classifier(sample, algorithm=algorithm, mode="eps", eps=0.1)
+
     def test_relaxed_space_rejected(self):
         from quasimetric import gen_line
         qm = gen_line(4).space
@@ -214,6 +223,12 @@ class TestPredict:
         assert predict(clone, 0, space=four_point_sample().space).label == 1
         with pytest.raises(ValueError, match="space has 5 points, expected 4"):
             predict(clone, 0, space=build_from_matrix(np.ones((5, 5)) - np.eye(5)))
+
+    def test_from_dict_checks_cover_ids(self):
+        data = build_classifier(four_point_sample()).to_dict()
+        data["cover_ids"] = [0, 4]
+        with pytest.raises(ValueError, match="cover id 4 out of range"):
+            CompressedClassifier.from_dict(data)
 
     def test_threshold_boundary_keeps_cover_label(self):
         clf = build_classifier(four_point_sample())

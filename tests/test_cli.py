@@ -377,6 +377,20 @@ class TestTrainPredict:
                           "--labels", str(labels)], capsys)
         assert rc == 1 and "error:" in cap.err
 
+    @pytest.mark.parametrize("algo", ["iterated", "arbitrary"])
+    @pytest.mark.parametrize("matrix", [FOUR_POINT, [[0, 0, 5], [5, 0, 5], [5, 5, 0]]],
+                             ids=["separable", "inseparable"])
+    def test_eps_mode_with_other_algorithm_is_usage_error(self, tmp_path, algo, matrix,
+                                                          capsys):
+        space = tmp_path / "space.txt"
+        save_matrix(space, matrix)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 +1\n1 -1\n2 -1\n")
+        rc, doc, cap = run(["train", "--input", str(space), "--labels", str(labels),
+                            "--algo", algo, "--train-mode", "eps", "--eps", "0.1"], capsys)
+        assert rc == 2 and doc is None
+        assert f"{algo} covers do not support eps mode" in cap.err
+
     def test_eps_mode_flag(self, four_point, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc, doc, _ = run(["train", "--input", four_point, "--labels", labels,

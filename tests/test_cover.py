@@ -14,8 +14,8 @@ from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
                          nearest, predict, transpose, verify_cover)
 from quasimetric.cover import min_cover_size_masks
 
-from conftest import (brute_greedy_cover, brute_min_cover, random_quasimetric,
-                      tie_heavy_spaces)
+from conftest import (brute_arbitrary_cover, brute_greedy_cover, brute_min_cover,
+                      random_quasimetric, tie_heavy_spaces)
 
 
 _FLIPPED_KIND = {"pos-outer": "pos-inner", "pos-inner": "pos-outer",
@@ -249,6 +249,25 @@ class TestArbitraryCover:
             cov = arbitrary_cover(qm, range(qm.n), range(qm.n), alpha, direction)
             ok, _ = verify_cover(qm, cov, range(qm.n))
             assert ok
+
+    @given(instance=cover_instances(), direction=st.sampled_from(list(Direction)),
+           seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scan_oracle(self, instance, direction, seed):
+        qm, target, candidates, alpha = instance
+        scan = candidates
+        if seed is not None:  # the shuffled order scans a seeded permutation
+            scan = [candidates[i] for i in np.random.default_rng(seed).permutation(
+                len(candidates))]
+        cov = arbitrary_cover(qm, target, candidates, alpha, direction,
+                              order="ascending" if seed is None else "shuffled", seed=seed)
+        picks, assignment, uncovered, iterations = brute_arbitrary_cover(
+            qm, target, scan, alpha, direction)
+        assert cov.cover_ids == picks
+        assert cov.assignment == assignment
+        assert cov.uncovered == uncovered
+        assert cov.stats.iterations == iterations
+        assert cov.stats.distance_evaluations == len(candidates) * len(target)
 
 
 class TestEpsCover:

@@ -214,14 +214,14 @@ class TestDoublingConstant:
     def test_greedy_kernel_matches_per_ball_reference(self, qm):
         sym = to_max_metric(qm)
         assert_matches_reference(doubling_constant(sym),
-                                 greedy_reference(sym.as_quasimetric(), Direction.OUTER))
+                                 greedy_reference(sym, Direction.OUTER))
 
     @given(qm=tie_heavy_spaces(allow_relaxed=False))
     @settings(max_examples=25, deadline=None)
     def test_exact_matches_per_ball_oracle(self, qm):
         sym = to_max_metric(qm)
         assert_matches_reference(doubling_constant(sym, method="exact"),
-                                 exact_reference(sym.as_quasimetric(), Direction.OUTER))
+                                 exact_reference(sym, Direction.OUTER))
 
     def test_greedy_upper_bounds_exact(self, rng):
         for _ in range(6):
@@ -264,7 +264,7 @@ class TestDensityConstant:
         oracle = brute_max_packing if method == "exact" else brute_greedy_clique_cover
         assert_matches_reference(
             density_constant(sym, method=method),
-            ball_reference(sym.as_quasimetric(), Direction.OUTER,
+            ball_reference(sym, Direction.OUTER,
                            lambda members, half: oracle(sym.dist, members, half)))
 
     def test_method_validation(self):
