@@ -30,7 +30,7 @@ import numpy as np
 from . import _text
 from . import cover as _cover
 from .dimension import directional_constant
-from .space import (Direction, QuasiMetric, _candidate_reads, _clean_ids,
+from .space import (Direction, QuasiMetric, Record, _candidate_reads, _clean_ids,
                     _nearest_centers, _require_strict, set_distance, subspace)
 
 
@@ -43,12 +43,9 @@ class DegenerateCandidatesError(ValueError):
 
 
 @dataclass(frozen=True)
-class Margins:
+class Margins(Record):
     rho_pm: float  # min distance from a positive to a negative
     rho_mp: float  # min distance from a negative to a positive
-
-    def to_dict(self) -> dict:
-        return {"rho_pm": self.rho_pm, "rho_mp": self.rho_mp}
 
 
 @dataclass
@@ -96,15 +93,11 @@ def margins(sample: LabeledSample) -> Margins:
 
 
 @dataclass
-class CandidateSummary:
+class CandidateSummary(Record):
     kind: str
     size: Optional[int]  # None when the construction was skipped entirely
     gap: Optional[float] = None
     discarded: bool = False
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "size": self.size, "gap": self.gap,
-                "discarded": self.discarded}
 
 
 @dataclass
@@ -194,8 +187,9 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     ``algorithm`` picks the cover construction (greedy, iterated, or
     arbitrary); ``mode`` is ``consistent`` (cover everything) or ``eps``
     (allow an eps fraction of the cover's class to stay uncovered, trading
-    training error for size).  ``lambda_hat`` feeds the iterated schedule;
-    when omitted it is estimated from each class with the greedy method.
+    training error for size).  ``lambda_hat`` feeds the iterated schedule
+    and is an error with any other algorithm; when omitted it is estimated
+    from each class with the greedy method.
 
     Candidates whose separation gap closes to zero are discarded; ties on
     size break in the fixed order pos-outer, neg-inner, pos-inner,
@@ -214,6 +208,8 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
             raise ValueError("eps mode needs 0 < eps < 1")
     elif eps is not None:
         raise ValueError("eps only applies in eps mode")
+    if lambda_hat is not None and algorithm != "iterated":
+        raise ValueError(f"lambda_hat only applies to iterated covers, not {algorithm}")
 
     m = margins(sample)
     classes = {"pos": sorted(sample.pos), "neg": sorted(sample.neg)}
@@ -296,8 +292,8 @@ def predict(clf: CompressedClassifier, query,
 # Sample-compression generalization bounds.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundReport:
+@dataclass(kw_only=True)
+class BoundReport(Record):
     """A generalization bound value plus its display form.
 
     ``value`` is the raw formula output (can exceed 1); ``display`` clamps
@@ -308,20 +304,12 @@ class BoundReport:
     n: int
     k: int
     delta: float
+    eps: Optional[float] = None
+    eps_tilde: Optional[float] = None
     value: float
     display: float
     vacuous: bool
     log_base: str
-    eps: Optional[float] = None
-    eps_tilde: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime, "n": self.n, "k": self.k,
-            "delta": self.delta, "eps": self.eps, "eps_tilde": self.eps_tilde,
-            "value": self.value, "display": self.display,
-            "vacuous": self.vacuous, "log_base": self.log_base,
-        }
 
 
 def _log_fn(log_base: str):

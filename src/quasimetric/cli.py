@@ -58,10 +58,14 @@ def _jsonable(obj):
     return obj
 
 
+def _document(command: str, payload: dict) -> str:
+    """The schema-1 JSON document of one command, as stdout and files hold it."""
+    doc = {"schema": SCHEMA, "command": command, **payload}
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
+
+
 def emit(command: str, payload: dict) -> None:
-    doc = {"schema": SCHEMA, "command": command}
-    doc.update(payload)
-    sys.stdout.write(json.dumps(_jsonable(doc), indent=2) + "\n")
+    sys.stdout.write(_document(command, payload))
 
 
 def table(headers: list[str], rows: list[list]) -> None:
@@ -168,6 +172,8 @@ def cmd_dimension(args) -> int:
 def cmd_cover(args) -> int:
     if args.eps is not None and args.algo != "greedy":
         raise ValueError(f"--eps applies only to --algo greedy, not {args.algo}")
+    if args.lambda_hat is not None and args.algo != "iterated":
+        raise ValueError(f"--lambda-hat applies only to --algo iterated, not {args.algo}")
     qm = _load_space(args)
     direction = Direction(args.direction)
     target = _ids_arg(args.target, qm.n)
@@ -214,9 +220,7 @@ def cmd_train(args) -> int:
     doc = {"classifier": clf.to_dict()}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable({"schema": SCHEMA, "command": "train", **doc}),
-                      fh, indent=2)
-            fh.write("\n")
+            fh.write(_document("train", doc))
         doc["saved_to"] = args.output
     emit("train", doc)
     table(["candidate", "size", "gap", "discarded"],
@@ -239,6 +243,8 @@ def _load_classifier(path: str) -> _classifier.CompressedClassifier:
 
 
 def cmd_predict(args) -> int:
+    if args.queries and (args.input or args.ids is not None):
+        raise ValueError("--queries cannot be combined with --input or --ids")
     clf = _load_classifier(args.classifier)
     lines = []
     if args.queries:
@@ -254,6 +260,8 @@ def cmd_predict(args) -> int:
         if qm.n != clf.n:
             raise ValueError(f"space has {qm.n} points but classifier expects {clf.n}")
         ids = _ids_arg(args.ids, qm.n)
+        if not ids:
+            raise ValueError(f"expected a non-empty --ids list, got {args.ids!r}")
         seen = set()
         for i in ids:
             if i in seen:
@@ -371,9 +379,7 @@ def cmd_gen(args) -> int:
             payload["edges"] = [[u, v, w] for u, v, w in fixture.edges]
     if args.spec_out:
         with open(args.spec_out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable({"schema": SCHEMA, "command": "gen",
-                                 "fixture": fixture.to_dict()}), fh, indent=2)
-            fh.write("\n")
+            fh.write(_document("gen", {"fixture": payload["fixture"]}))
     emit("gen", payload)
     table(["kind", "n", "mode"],
           [[kind, fixture.space.n, fixture.space.mode.value]])
@@ -472,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="allow this fraction uncovered (greedy only)")
     p.add_argument("--lambda-hat", type=float, default=None,
-                   help="covering constant driving the iterated schedule")
+                   help="covering constant driving the iterated schedule (iterated only)")
     p.add_argument("--target", default=None, help="comma-separated ids (default all)")
     p.add_argument("--candidates", default=None,
                    help="comma-separated ids (default all)")
@@ -491,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-mode", choices=["consistent", "eps"],
                    default="consistent")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--lambda-hat", type=float, default=None)
+    p.add_argument("--lambda-hat", type=float, default=None, help="(iterated only)")
     p.add_argument("--output", default=None, help="write classifier JSON here")
     p.set_defaults(func=cmd_train)
 

@@ -22,8 +22,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .space import (Direction, QuasiMetric, _clean_ids, _nearest_centers, _require_strict,
-                    diameter)
+from .space import (Direction, QuasiMetric, Record, _clean_ids, _nearest_centers,
+                    _require_strict, diameter)
 
 # Largest set the exact solvers take on: the target of an exact cover, and
 # the space of an exact covering or packing constant.
@@ -43,19 +43,11 @@ class CoverageError(RuntimeError):
 
 
 @dataclass
-class CoverStats:
+class CoverStats(Record):
     iterations: int = 0
     distance_evaluations: int = 0
     fallback: bool = False
     radius_schedule: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "distance_evaluations": self.distance_evaluations,
-            "fallback": self.fallback,
-            "radius_schedule": list(self.radius_schedule),
-        }
 
 
 @dataclass

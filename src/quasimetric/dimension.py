@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import cover as _cover
-from .space import Direction, QuasiMetric
+from .space import Direction, QuasiMetric, Record
 
 
 def log_iter(x: float, i: int) -> float:
@@ -54,7 +54,7 @@ def log_star(x: float) -> int:
 
 
 @dataclass
-class ConstantEstimate:
+class ConstantEstimate(Record):
     """A covering/packing constant with its witness and per-ball breakdown.
 
     ``per_ball`` rows are (center, radius, balls_needed) triples; the witness
@@ -69,17 +69,6 @@ class ConstantEstimate:
     witness_center: int = 0
     witness_radius: float = 0.0
     per_ball: list[tuple[int, float, int]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "quantity": self.quantity,
-            "method": self.method,
-            "direction": self.direction.value if self.direction else None,
-            "witness_center": self.witness_center,
-            "witness_radius": self.witness_radius,
-            "per_ball": [list(row) for row in self.per_ball],
-        }
 
 
 # Largest unpacked boolean coverage block (radii x candidates x members,

@@ -16,30 +16,23 @@ from typing import Optional
 
 import numpy as np
 
-from .space import Direction, Mode, QuasiMetric, build_from_matrix
+from .space import Direction, Mode, QuasiMetric, Record, build_from_matrix
 
 INF = math.inf
 
 
 @dataclass(frozen=True)
-class ExpectedProperty:
+class ExpectedProperty(Record):
     name: str
     value: float
     origin: str  # analytic | empirical
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "origin": self.origin}
-
 
 @dataclass
-class FixtureSpec:
+class FixtureSpec(Record):
     kind: str
     params: dict
     expected: list[ExpectedProperty] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "expected": [e.to_dict() for e in self.expected]}
 
     def expected_value(self, name: str) -> float:
         for e in self.expected:
@@ -279,13 +272,12 @@ _RETRIES = 5
 
 
 def gen_random_bounded(n: int, seed: int,
-                       target_constant: int = DEFAULT_TARGET_CONSTANT,
-                       check_cap: int = CHECK_CAP) -> Fixture:
+                       target_constant: int = DEFAULT_TARGET_CONSTANT) -> Fixture:
     """Directed ring with random integer weights and tame covering constants.
 
     Weights are drawn uniformly from 8..12, so any ball is a forward
     interval and a bounded number of half-radius intervals covers it.  For
-    n up to ``check_cap`` the greedy covering constants are measured and
+    n up to ``CHECK_CAP`` the greedy covering constants are measured and
     the seed is re-derived until both stay at or below ``target_constant``
     (a few retries, then an error).  Larger instances skip the check, which
     would cost more than the runs it protects; ``params["checked"]``
@@ -308,7 +300,7 @@ def gen_random_bounded(n: int, seed: int,
             d = np.mod(idx_diff, total).astype(np.float64)
             np.fill_diagonal(d, 0.0)
         space = build_from_matrix(d, mode=Mode.STRICT)
-        checked = n <= check_cap
+        checked = n <= CHECK_CAP
         if checked:
             from .dimension import directional_constant
             inn = directional_constant(space, Direction.INNER).value

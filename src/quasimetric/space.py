@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -47,8 +47,33 @@ class Direction(str, Enum):
         return Direction.INNER if self is Direction.OUTER else Direction.OUTER
 
 
+class Record:
+    """Base of the plain result dataclasses.  ``to_dict`` returns the fields
+    in declaration order: records as dicts, enums as their values, dicts as
+    shallow copies, and lists or tuples as lists in which each tuple row
+    becomes a list and each record a dict.  Rows are not walked further:
+    a constant's ``per_ball`` holds thousands of them.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return [list(v) if isinstance(v, tuple) else v.to_dict() if isinstance(v, Record)
+                else v for v in value]
+    return value
+
+
 @dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of an axiom check.
 
     ``triangle_violations`` holds up to ``max_reported`` offending triples
@@ -64,18 +89,6 @@ class ValidationReport:
     nonzero_diagonal: list[tuple[int, float]] = field(default_factory=list)
     symmetry_violations: list[tuple[int, int, float, float]] = field(default_factory=list)
     truncated: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "triangle_violations": [list(v) for v in self.triangle_violations],
-            "triangle_count": self.triangle_count,
-            "negative_entries": [list(v) for v in self.negative_entries],
-            "nonzero_diagonal": [list(v) for v in self.nonzero_diagonal],
-            "symmetry_violations": [list(v) for v in self.symmetry_violations],
-            "truncated": self.truncated,
-        }
 
 
 @dataclass

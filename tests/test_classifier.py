@@ -185,6 +185,12 @@ class TestBuildClassifier:
             with pytest.raises(ValueError, match=f"{algorithm} covers do not support eps"):
                 build_classifier(sample, algorithm=algorithm, mode="eps", eps=0.1)
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "arbitrary"])
+    def test_lambda_hat_only_for_iterated(self, algorithm):
+        with pytest.raises(ValueError, match=f"lambda_hat only applies to iterated "
+                                             f"covers, not {algorithm}"):
+            build_classifier(four_point_sample(), algorithm=algorithm, lambda_hat=2.0)
+
     def test_relaxed_space_rejected(self):
         from quasimetric import gen_line
         qm = gen_line(4).space

@@ -224,6 +224,14 @@ class TestCover:
         assert rc == 2 and doc is None
         assert "--eps" in cap.err
 
+    @pytest.mark.parametrize("algo", ["greedy", "arbitrary"])
+    def test_lambda_hat_with_other_algorithm_is_usage_error(self, cycle8, algo, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2",
+                            "--direction", "inner", "--algo", algo,
+                            "--lambda-hat", "2"], capsys)
+        assert rc == 2 and doc is None
+        assert f"--lambda-hat applies only to --algo iterated, not {algo}" in cap.err
+
     def test_nan_alpha_is_usage_error(self, cycle8, capsys):
         rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "nan",
                             "--direction", "outer"], capsys)
@@ -344,6 +352,34 @@ class TestTrainPredict:
         rc, _, cap = run(predict + ["--ids", many], capsys)
         assert rc == 2 and cap.out == "" and "--ids repeats id 6" in cap.err
 
+    def test_predict_rejects_empty_ids(self, four_point, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+        clf_path = tmp_path / "clf.json"
+        run(["train", "--input", four_point, "--labels", labels,
+             "--output", str(clf_path)], capsys)
+        for ids in ("", ",", " , "):
+            rc, _, cap = run(["predict", "--classifier", str(clf_path),
+                              "--input", four_point, "--ids", ids], capsys)
+            assert rc == 2 and cap.out == ""
+            assert "expected a non-empty --ids list" in cap.err
+
+    def test_predict_queries_exclude_input_and_ids(self, four_point, tmp_path, capsys):
+        labels = self.write_labels(tmp_path)
+        clf_path = tmp_path / "clf.json"
+        run(["train", "--input", four_point, "--labels", labels,
+             "--output", str(clf_path)], capsys)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("1\n0.9 2 3 3\n-\n")
+        predict = ["predict", "--classifier", str(clf_path), "--queries", str(qfile)]
+        missing = str(tmp_path / "no-such-space.txt")
+        for extra in (["--input", four_point], ["--input", missing], ["--ids", "0"],
+                      ["--input", four_point, "--ids", "0,1"]):
+            rc, _, cap = run(predict + extra, capsys)
+            assert rc == 2 and cap.out == ""
+            assert "--queries cannot be combined with --input or --ids" in cap.err
+        rc, _, cap = run(predict, capsys)
+        assert rc == 0 and cap.out.splitlines() == ["0 +1"]
+
     def test_bad_query_vectors_are_usage_errors(self, tmp_path, cycle8, capsys):
         labels = tmp_path / "labels.txt"
         labels.write_text("".join(f"{i} {'+1' if i < 4 else '-1'}\n" for i in range(8)))
@@ -390,6 +426,15 @@ class TestTrainPredict:
                             "--algo", algo, "--train-mode", "eps", "--eps", "0.1"], capsys)
         assert rc == 2 and doc is None
         assert f"{algo} covers do not support eps mode" in cap.err
+
+    @pytest.mark.parametrize("algo", ["greedy", "arbitrary"])
+    def test_lambda_hat_with_other_algorithm_is_usage_error(self, four_point, tmp_path,
+                                                           algo, capsys):
+        labels = self.write_labels(tmp_path)
+        rc, doc, cap = run(["train", "--input", four_point, "--labels", labels,
+                            "--algo", algo, "--lambda-hat", "2"], capsys)
+        assert rc == 2 and doc is None
+        assert f"lambda_hat only applies to iterated covers, not {algo}" in cap.err
 
     def test_eps_mode_flag(self, four_point, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
@@ -464,6 +509,79 @@ class TestBench:
                           "--sizes", "32,64", "--algo", "greedy"], capsys)
         assert rc == 0
         assert all(r["within_budget"] for r in doc["rows"])
+
+
+class TestKeyOrder:
+    """The key order of every JSON record, as the byte-stable output holds it."""
+
+    REPORT = ["passed", "tolerance", "triangle_violations", "triangle_count",
+              "negative_entries", "nonzero_diagonal", "symmetry_violations", "truncated"]
+    CLASSIFIER = ["kind", "direction", "cover_label", "cover_ids", "threshold", "k", "n",
+                  "margins", "training_error", "algorithm", "mode", "eps", "candidates"]
+    FIXTURE = ["kind", "params", "expected", "mode", "n", "extras"]
+
+    @pytest.mark.parametrize("regime", [["consistent"], ["agnostic", "--eps", "0.1"]])
+    def test_bound(self, regime, capsys):
+        _, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05",
+                         "--regime", *regime], capsys)
+        assert list(doc) == ["schema", "command", "report"]
+        assert list(doc["report"]) == ["regime", "n", "k", "delta", "eps", "eps_tilde",
+                                       "value", "display", "vacuous", "log_base"]
+
+    def test_validate(self, cycle8, capsys):
+        _, doc, _ = run(["validate", "--input", cycle8], capsys)
+        assert list(doc) == ["schema", "command", "n", "mode", "report"]
+        assert list(doc["report"]) == self.REPORT
+
+    def test_dimension_per_ball(self, cycle8, capsys):
+        _, doc, _ = run(["dimension", "--input", cycle8, "--direction", "outer",
+                         "--per-ball"], capsys)
+        assert list(doc) == ["schema", "command", "n", "estimate"]
+        assert list(doc["estimate"]) == ["value", "quantity", "method", "direction",
+                                         "witness_center", "witness_radius", "per_ball",
+                                         "log2_value"]
+
+    def test_cover_compare(self, cycle8, capsys):
+        _, doc, _ = run(["cover", "--input", cycle8, "--alpha", "2",
+                         "--direction", "inner", "--compare"], capsys)
+        assert list(doc) == ["schema", "command", "n", "algo", "cover", "verified",
+                             "offenders", "exact_optimum"]
+        assert list(doc["cover"]) == ["direction", "radius", "size", "cover_ids",
+                                      "assignment", "uncovered", "stats"]
+        assert list(doc["cover"]["stats"]) == ["iterations", "distance_evaluations",
+                                               "fallback", "radius_schedule"]
+        assert list(doc["exact_optimum"]) == ["size", "cover_ids"]
+
+    def test_train(self, four_point, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0 +1\n1 +1\n2 -1\n3 -1\n")
+        saved = tmp_path / "clf.json"
+        _, doc, _ = run(["train", "--input", four_point, "--labels", str(labels),
+                         "--output", str(saved)], capsys)
+        assert list(doc) == ["schema", "command", "classifier", "saved_to"]
+        written = json.loads(saved.read_text())
+        assert list(written) == ["schema", "command", "classifier"]
+        for clf in (doc["classifier"], written["classifier"]):
+            assert list(clf) == self.CLASSIFIER
+            assert list(clf["margins"]) == ["rho_pm", "rho_mp"]
+            assert len(clf["candidates"]) == 4
+            for cand in clf["candidates"]:
+                assert list(cand) == ["kind", "size", "gap", "discarded"]
+
+    def test_gen_spec_out(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        _, doc, _ = run(["gen", "--kind", "random-bounded", "--n", "8", "--seed", "1",
+                         "--spec-out", str(spec)], capsys)
+        assert list(doc) == ["schema", "command", "fixture", "matrix"]
+        written = json.loads(spec.read_text())
+        assert list(written) == ["schema", "command", "fixture"]
+        for fixture in (doc["fixture"], written["fixture"]):
+            assert list(fixture) == self.FIXTURE
+            assert list(fixture["params"]) == ["n", "seed", "attempt", "weight_lo",
+                                               "weight_hi", "target_constant", "checked"]
+            assert fixture["expected"]
+            for prop in fixture["expected"]:
+                assert list(prop) == ["name", "value", "origin"]
 
 
 class TestHarness:

@@ -17,22 +17,23 @@ from conftest import (brute_ball, brute_greedy_clique_cover, brute_greedy_cover,
                       tie_heavy_spaces)
 
 
-def ball_reference(qm, direction, value):
+def ball_reference(qm, direction, value, centers=None):
     """Per-ball rows ``(center, radius, value(members, radius / 2))`` over
-    every critical ball, members from the brute-force ball in id order."""
+    every critical ball of ``centers`` (default all), members from the
+    brute-force ball in id order."""
     d = qm.dist if direction is Direction.OUTER else qm.dist.T
     rows = []
-    for center in range(qm.n):
+    for center in range(qm.n) if centers is None else centers:
         for radius in sorted({float(v) for v in d[center] if 0 < v < math.inf}):
             members = sorted(brute_ball(qm, center, radius, direction))
             rows.append((center, radius, value(members, radius / 2)))
     return rows
 
 
-def greedy_reference(qm, direction):
+def greedy_reference(qm, direction, centers=None):
     """Per-ball rows from one set-based greedy oracle run per critical ball."""
     return ball_reference(qm, direction, lambda members, half: len(
-        brute_greedy_cover(qm, members, range(qm.n), half, direction)[0]))
+        brute_greedy_cover(qm, members, range(qm.n), half, direction)[0]), centers)
 
 
 def exact_reference(qm, direction):
@@ -166,6 +167,26 @@ class TestDirectionalConstant:
         for direction in Direction:
             assert_matches_reference(directional_constant(qm, direction),
                                      greedy_reference(qm, direction))
+
+    def test_greedy_kernel_matches_reference_across_words(self, monkeypatch):
+        # A relabelled n = 80 ring: each center's balls take every size from
+        # 1 to 80, so their packed member rows fill one 64-bit word, end on
+        # its boundary (64) or spill into a second (65 and up), and the ids
+        # of a ball are scattered rather than one run.
+        ring = gen_random_bounded(80, 5).space.dist
+        perm = np.random.default_rng(5).permutation(80)
+        qm = build_from_matrix(ring[np.ix_(perm, perm)])
+        centers = [0, 41, 79]
+        for direction in Direction:
+            d = qm.oriented(direction)
+            sizes = {len(brute_ball(qm, c, r, direction)) for c in centers for r in d[c]}
+            assert {63, 64, 65, 80} <= sizes
+            rows = greedy_reference(qm, direction, centers)
+            # the small cap splits every center's radii into chunks of three
+            for block_cap in (dimension._BLOCK_CAP, 80 * 128 * 3):
+                monkeypatch.setattr(dimension, "_BLOCK_CAP", block_cap)
+                est = directional_constant(qm, direction)
+                assert [row for row in est.per_ball if row[0] in centers] == rows
 
     def test_greedy_kernel_uncoverable_member_raises_like_greedy_cover(self):
         # a nonzero diagonal leaves point 0 outside its own half-radius ball
