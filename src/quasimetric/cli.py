@@ -387,9 +387,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.fixture == "nn-lower-bound":
+    scan = args.fixture == "nn-lower-bound"
+    for option, value in [("--p", args.p), ("--sizes", args.sizes), ("--algo", args.algo),
+                          ("--lambda-hat", args.lambda_hat), ("--seed", args.seed)]:
+        if value is not None and (option == "--p") != scan:
+            raise ValueError(f"{option} does not apply to --fixture {args.fixture}")
+    algo = args.algo or "greedy"
+    if args.lambda_hat is not None and algo != "iterated":
+        raise ValueError(f"--lambda-hat applies only to --algo iterated, not {algo}")
+    if scan:
         rows = []
-        p_max = args.p
+        p_max = 8 if args.p is None else args.p
         for p in range(min(3, p_max), p_max + 1):
             fx = _fixtures.gen_nn_lower_bound(p)
             t0 = time.perf_counter()
@@ -406,16 +414,18 @@ def cmd_bench(args) -> int:
                 f"{r['seconds']:.6f}"] for r in rows])
         return 0
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = "250,500,1000" if args.sizes is None else args.sizes
+    seed = 7 if args.seed is None else args.seed
+    lam = 8.0 if args.lambda_hat is None else args.lambda_hat
     rows = []
-    for n in sizes:
-        fx = _fixtures.gen_random_bounded(n, seed=args.seed)
+    for n in [int(s) for s in sizes.split(",")]:
+        fx = _fixtures.gen_random_bounded(n, seed=seed)
         qm = fx.space
         alpha = diameter(qm) / 4.0
         t0 = time.perf_counter()
-        if args.algo == "iterated":
+        if algo == "iterated":
             cov = _cover.iterated_cover(qm, range(qm.n), range(qm.n), alpha,
-                                        Direction.INNER, args.lambda_hat)
+                                        Direction.INNER, lam)
         else:
             cov = _cover.greedy_cover(qm, range(qm.n), range(qm.n), alpha,
                                       Direction.INNER)
@@ -426,7 +436,7 @@ def cmd_bench(args) -> int:
                      "budget": budget,
                      "within_budget": cov.stats.distance_evaluations <= budget,
                      "seconds": dt})
-    emit("bench", {"benchmark": "cover-scaling", "algo": args.algo, "rows": rows})
+    emit("bench", {"benchmark": "cover-scaling", "algo": algo, "rows": rows})
     table(["n", "size", "evaluations", "budget", "within", "seconds"],
           [[r["n"], r["size"], r["evaluations"], r["budget"], r["within_budget"],
             f"{r['seconds']:.4f}"] for r in rows])
@@ -542,11 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="scaling measurements")
     p.add_argument("--fixture", choices=["nn-lower-bound", "cover-scaling"],
                    default="cover-scaling")
-    p.add_argument("--p", type=int, default=8, help="max depth for the nn scan")
-    p.add_argument("--sizes", default="250,500,1000")
-    p.add_argument("--algo", choices=["greedy", "iterated"], default="greedy")
-    p.add_argument("--lambda-hat", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--p", type=int, default=None,
+                   help="max depth for the nn scan (nn-lower-bound only; default 8)")
+    p.add_argument("--sizes", default=None,
+                   help="comma-separated n (cover-scaling only; default 250,500,1000)")
+    p.add_argument("--algo", choices=["greedy", "iterated"], default=None,
+                   help="(cover-scaling only; default greedy)")
+    p.add_argument("--lambda-hat", type=float, default=None,
+                   help="(cover-scaling --algo iterated only; default 8)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="(cover-scaling only; default 7)")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -15,6 +15,7 @@ finite.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -268,7 +269,8 @@ def _closure(n: int, weights: dict[tuple[int, int], float]) -> np.ndarray:
 _MAX_REPORTED = 1000
 
 # Element budget of one row block of the min-plus pass: the block's running
-# minima and its scratch sums (256 KB each) stay in a core's L2 cache.
+# minima and its scratch sums (256 KB each) stay in a core's L2 cache.  Each
+# thread of the pass owns one such pair.
 _SCAN_BLOCK_CAP = 1 << 15
 
 
@@ -301,6 +303,33 @@ def _entry_violations(d: np.ndarray, report: ValidationReport,
              lambda i, j: (i, j, float(d[i, j]), float(d[j, i])))
 
 
+def _in_threads(work: Callable, parts: list) -> None:
+    """Call ``work`` on each of ``parts``: the first in this thread, each
+    other on a thread of its own (numpy's loops release the GIL).  Once all
+    have returned, the first error raised in another thread is raised here.
+    """
+    errors = []
+
+    def guarded(part) -> None:
+        try:
+            work(part)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    started = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=guarded, args=(part,))
+            thread.start()
+            started.append(thread)
+        work(parts[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _triangle_scan(d: np.ndarray, report: ValidationReport,
                    exempt_infinite_lhs: bool = False) -> None:
     """Count into ``report`` every triple with ``d[i, j] > (d[i, k] + d[k, j])
@@ -311,25 +340,34 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
     ``exempt_infinite_lhs`` neither is an infinite left-hand side.
 
     One min-plus pass, a block of rows at a time, finds the pairs ``(i, j)``
-    violated at the smallest right-hand side.  Since ``x -> x * scale``
-    stays monotone after rounding for ``scale >= 0``, these include every
-    pair violated at some ``k``; the per-``k`` loop then lists triples over
-    those pairs only.
+    violated at the smallest right-hand side; the blocks are dealt in turn
+    to one thread per usable CPU.  Since ``x -> x * scale`` stays monotone
+    after rounding for ``scale >= 0``, these include every pair violated at
+    some ``k``; the per-``k`` loop then lists triples over those pairs only.
     """
     scale = 1.0 + report.tolerance
     n = d.shape[0]
     rows = min(n, max(1, _SCAN_BLOCK_CAP // n))
-    best_buf, sums_buf = np.empty((rows, n)), np.empty((rows, n))
     suspect = np.empty((n, n), dtype=bool)
-    with np.errstate(invalid="ignore"):  # -inf + inf is NaN: never a violation
-        for r0 in range(0, n, rows):
-            block = d[r0:r0 + rows]
-            best, sums = best_buf[:len(block)], sums_buf[:len(block)]
-            best.fill(np.inf)
-            for k in range(n):
-                np.add(block[:, k, None], d[None, k, :], out=sums)
-                np.fmin(best, sums, out=best)  # fmin skips a NaN sum
-            np.greater(block, best * scale, out=suspect[r0:r0 + rows])
+
+    def scan(starts: range) -> None:
+        best_buf, sums_buf = np.empty((rows, n)), np.empty((rows, n))
+        # -inf + inf is NaN: never a violation.  numpy's error state is
+        # context-local, so each thread sets its own.
+        with np.errstate(invalid="ignore"):
+            for r0 in starts:
+                block = d[r0:r0 + rows]
+                best, sums = best_buf[:len(block)], sums_buf[:len(block)]
+                best.fill(np.inf)
+                for k in range(n):
+                    np.add(block[:, k, None], d[None, k, :], out=sums)
+                    np.fmin(best, sums, out=best)  # fmin skips a NaN sum
+                np.greater(block, best * scale, out=suspect[r0:r0 + rows])
+
+    starts = range(0, n, rows)
+    threads = min(_text._usable_cpus(), len(starts))
+    _in_threads(scan, [starts[t::threads] for t in range(threads)])
+    with np.errstate(invalid="ignore"):
         if exempt_infinite_lhs:
             suspect &= np.isfinite(d)
         ii, jj = np.nonzero(suspect)

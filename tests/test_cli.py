@@ -510,6 +510,34 @@ class TestBench:
         assert rc == 0
         assert all(r["within_budget"] for r in doc["rows"])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--fixture", "cover-scaling", "--sizes", "16", "--p", "4"],
+         "--p does not apply to --fixture cover-scaling"),
+        (["--fixture", "nn-lower-bound", "--sizes", "16"],
+         "--sizes does not apply to --fixture nn-lower-bound"),
+        (["--fixture", "nn-lower-bound", "--algo", "greedy"],
+         "--algo does not apply to --fixture nn-lower-bound"),
+        (["--fixture", "nn-lower-bound", "--seed", "3"],
+         "--seed does not apply to --fixture nn-lower-bound"),
+        (["--fixture", "nn-lower-bound", "--lambda-hat", "4"],
+         "--lambda-hat does not apply to --fixture nn-lower-bound"),
+        (["--sizes", "16", "--lambda-hat", "1"],
+         "--lambda-hat applies only to --algo iterated, not greedy"),
+        (["--sizes", "16", "--algo", "greedy", "--lambda-hat", "4"],
+         "--lambda-hat applies only to --algo iterated, not greedy"),
+    ], ids=["p", "sizes", "algo", "seed", "lambda-hat-scan", "lambda-hat-default-algo",
+            "lambda-hat-greedy"])
+    def test_unused_option_is_usage_error(self, argv, message, capsys):
+        rc, doc, cap = run(["bench", *argv], capsys)
+        assert rc == 2 and doc is None
+        assert message in cap.err
+
+    def test_iterated_lambda_hat_is_used(self, capsys):
+        rc, _, cap = run(["bench", "--sizes", "16", "--algo", "iterated",
+                          "--lambda-hat", "1"], capsys)
+        assert rc == 2
+        assert "lambda_hat must be at least 2, got 1.0" in cap.err
+
 
 class TestKeyOrder:
     """The key order of every JSON record, as the byte-stable output holds it."""

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,8 @@ from quasimetric import (Cover, CoverStats, Direction, Mode, QuasiMetric, QueryV
 from quasimetric import _text
 from quasimetric import space as space_module
 from quasimetric.cli import parse_queries_text
-from quasimetric.space import (_MAX_REPORTED, _nearest_centers, format_value,
+from quasimetric.space import (_MAX_REPORTED, ValidationReport, _nearest_centers,
+                               _triangle_scan, format_value,
                                load_edge_list, load_matrix, parse_edge_list_text,
                                parse_matrix_text, save_edge_list, save_matrix)
 
@@ -191,6 +193,10 @@ class TestBuildFromDigraph:
         assert b'"validate"' in runs[0].stdout and b'"transform"' in runs[0].stdout
 
 
+MINUS_INF = np.array([[0.0, -INF, 5.0, 1.0], [1.0, 0.0, INF, 1.0],
+                      [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+
+
 def parity_matrix(n):
     """Weight 1 between points of different parity, 3 between the same."""
     idx = np.arange(n)
@@ -278,20 +284,20 @@ class TestValidate:
         pytest.param(layered_matrix(10, 10, 10), id="layers-1000"),
         pytest.param(layered_matrix(7, 11, 13), id="layers-1001"),
         # hand-built -inf: (0, 2) has a NaN right-hand side via 1
-        # (-inf + inf) and a violation via 3
-        pytest.param(np.array([[0.0, -INF, 5.0, 1.0], [1.0, 0.0, INF, 1.0],
-                               [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]),
-                     id="minus-inf"),
+        # (-inf + inf) and a violation via 3; reversed, the NaN falls in the
+        # last row block, which another thread scans
+        pytest.param(MINUS_INF, id="minus-inf"),
+        pytest.param(MINUS_INF[::-1, ::-1].copy(), id="minus-inf-reversed"),
     ])
-    def test_triangle_scan_pinned_examples(self, d):
+    def test_triangle_scan_pinned_examples(self, monkeypatch, scan_cpus, d):
+        monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", 2 * len(d))  # 2-row blocks
         assert_scans_match_brute_force(d, bool(np.isinf(d).any()), 1e-9)
 
-    def test_triangle_scan_across_row_blocks(self, monkeypatch):
+    def test_triangle_scan_across_row_blocks(self, monkeypatch, scan_cpus):
         # 7-row blocks at n = 30: four full blocks, then a partial one of 2
         n = 30
         monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", 7 * n)
-        ids = np.arange(n)
-        d = ((ids[None, :] - ids[:, None]) % n).astype(np.float64)  # one-way ring
+        d = one_way_ring(n)
         d[0, 5] = 9.0    # block 0: too long, violated via k = 1..4
         d[17, 20] = 25.0  # block 2
         d[29, 2] = 0.5   # the partial block: a short leg that others use
@@ -299,6 +305,87 @@ class TestValidate:
         relaxed = d.copy()
         relaxed[9, 12] = INF  # block 1: exempt as a left-hand side
         assert_scans_match_brute_force(relaxed, True, 0.0)
+
+    @pytest.mark.parametrize("cpus,block_rows,threads", [
+        (1, 7, 0), (4, 30, 0), (2, 7, 1), (4, 7, 3), (8, 7, 4)])
+    def test_triangle_scan_thread_count(self, monkeypatch, cpus, block_rows, threads):
+        """The caller scans the first share of the blocks and starts a thread
+        for each other: min(CPUs, blocks) - 1 threads in all."""
+        n = 30
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", block_rows * n)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        d = one_way_ring(n)
+        d[17, 20] = 25.0
+        assert_scans_match_brute_force(d, False, 1e-9)
+        assert len(started) == 2 * threads  # validate, then the symmetric check
+
+    def test_triangle_scan_more_threads_than_cores(self, monkeypatch):
+        """Sixteen threads over one-row blocks, switching every microsecond.
+        Each row's one violation has its only witness at k = 0, so a thread
+        whose running minima another thread reset or overwrote misses it."""
+        n = 40
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 16)
+        monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", 1)
+        d = np.full((n, n), 2.0)
+        d[:, 0] = d[0, :] = 1.0  # every two-leg path through 0 costs 2
+        ids = np.arange(1, n)
+        d[ids, ids % (n - 1) + 1] = 3.0  # i -> i + 1 (n - 1 -> 1) beats only via 0
+        np.fill_diagonal(d, 0.0)
+        oracle = brute_triangle_violations(d, 0.0)
+        assert len(oracle) == n - 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert validate(QuasiMetric(dist=d), tolerance=0.0
+                                ).triangle_violations == oracle
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_triangle_scan_error_in_a_thread_reaches_the_caller(self, monkeypatch):
+        """A block that raises on another thread fails the scan once every
+        thread has finished, and leaves the report untouched."""
+        class BlockError(Exception):
+            pass
+
+        class Trap(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, slice) and key.start == 21:
+                    raise BlockError("block at row 21")
+                return super().__getitem__(key)
+
+        n = 30
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(space_module, "_SCAN_BLOCK_CAP", 7 * n)  # row 21: thread 3
+        d = one_way_ring(n)
+        d[17, 20] = 25.0
+        report = ValidationReport(passed=True, tolerance=0.0)
+        before = threading.active_count()
+        with pytest.raises(BlockError, match="block at row 21"):
+            _triangle_scan(d.view(Trap), report)
+        assert threading.active_count() == before
+        assert (report.triangle_count, report.triangle_violations) == (0, [])
+
+
+@pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
+def scan_cpus(request, monkeypatch):
+    """The triangle scan sees ``request.param`` usable CPUs."""
+    monkeypatch.setattr(_text, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def one_way_ring(n):
+    """``d[i, j] = (j - i) mod n``: a closed one-way ring."""
+    ids = np.arange(n)
+    return ((ids[None, :] - ids[:, None]) % n).astype(np.float64)
 
 
 def assert_scans_match_brute_force(d, relaxed, tol):
