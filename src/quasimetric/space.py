@@ -626,25 +626,37 @@ def format_value(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _comment_lines(header: Iterable[str]) -> str:
+    """``header`` as comment lines; ValueError naming a line that holds a
+    line boundary, since the rest of it would be read as a data line."""
+    lines = [f"{line}" for line in header]
+    for line in lines:
+        if f"{line}\n".splitlines() != [line]:
+            raise ValueError(f"header line {line!r} holds a line boundary")
+    return "".join(f"# {line}\n" for line in lines)
+
+
 def save_matrix(path, matrix, header: Iterable[str] = ()) -> None:
-    """Write a matrix file, each entry as :func:`format_value` writes it,
-    converting one row at a time."""
+    """Write a matrix file, each entry as :func:`format_value` writes it; a
+    large matrix's rows are formatted on several cores, with the same bytes.
+
+    ValueError, before the file is opened, unless ``matrix`` is a non-empty
+    square 2-D matrix and every header line is one line.
+    """
     arr = np.asarray(matrix, dtype=np.float64)
-    row_format = " ".join(["%.17g"] * arr.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(f"{arr.shape[0]}\n")
-        for row in arr:
-            # format_value writes -inf as inf; no other "%.17g" output holds "inf"
-            fh.write((row_format % tuple(row.tolist())).replace("-inf", "inf"))
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise ValueError(f"a matrix file holds a non-empty square matrix, got shape {arr.shape}")
+    head = (_comment_lines(header) + f"{arr.shape[0]}\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _text.write_rows(fh, memoryview(arr))
 
 
 def save_edge_list(path, n: int, edges: Sequence[tuple[int, int, float]],
                    header: Iterable[str] = ()) -> None:
+    head = _comment_lines(header)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
+        fh.write(head)
         fh.write(f"{n} {len(edges)}\n")
         for u, v, w in edges:
             fh.write(f"{u} {v} {format_value(w)}\n")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -655,7 +656,7 @@ class TestFileFormats:
 
     @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True),
                            min_size=1, max_size=36),
-           header=st.lists(st.text(st.characters(blacklist_categories=["Cs", "Cc"]),
+           header=st.lists(st.text(st.characters(blacklist_categories=["Cs", "Cc", "Zl", "Zp"]),
                                    max_size=8), max_size=3))
     @example(values=[0.0, -0.0, INF, -INF, math.nan, 5e-324, 1.7976931348623157e308,
                      0.1, 1 / 3, -2.5e-300, 123456789.0, 1e16, 2.0 ** -1074, -1e22],
@@ -663,8 +664,8 @@ class TestFileFormats:
     @settings(max_examples=200, deadline=None)
     def test_matrix_bytes_match_per_value_writer(self, tmp_path_factory, values,
                                                  header):
-        cols = max(c for c in range(1, 7) if len(values) % c == 0)
-        arr = np.array(values).reshape(-1, cols)
+        n = math.isqrt(len(values) - 1) + 1  # the smallest square that holds them
+        arr = np.array(values + [0.0] * (n * n - len(values))).reshape(n, n)
         base = tmp_path_factory.mktemp("save")
         save_matrix(base / "new.txt", arr, header=header)
         with open(base / "old.txt", "w", encoding="utf-8") as fh:
@@ -996,3 +997,161 @@ class TestParallelParse:
         assert_no_child_left()
         assert split == [False]
         assert got.tobytes() == whole_text_matrix(text).tobytes()
+
+
+def per_value_text(matrix, header=()) -> bytes:
+    """A matrix file as the per-entry :func:`format_value` writer gives it."""
+    lines = [f"# {line}" for line in header] + [str(len(matrix))]
+    lines += [" ".join(format_value(v) for v in row) for row in np.asarray(matrix).tolist()]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The list of every worker process started since."""
+    starts = []
+
+    class Counted(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            starts.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Counted)
+    return starts
+
+
+class TestParallelWrite:
+    """Matrices written in row ranges by format workers against the
+    per-entry writer.  ``FORMAT_MIN`` is patched down to 1 entry, so
+    matrices of a few entries are split."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @given(n=st.integers(min_value=1, max_value=6), data=st.data(),
+           transposed=st.booleans(),
+           header=st.lists(st.text(st.characters(blacklist_categories=["Cs", "Cc", "Zl", "Zp"]),
+                                   max_size=8), max_size=2))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_split_writer_matches_per_value_writer(self, tmp_path, monkeypatch, started,
+                                                   cpus, n, data, transposed, header):
+        specials = st.sampled_from([INF, -INF, -0.0, math.nan, 5e-324, -2.5e-310, 1 / 3])
+        values = data.draw(st.lists(st.one_of(st.floats(), specials),
+                                    min_size=n * n, max_size=n * n))
+        lead_rows = data.draw(st.integers(min_value=0, max_value=n))
+        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
+        monkeypatch.setattr(_text, "FORMAT_LEAD", lead_rows * n)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
+        matrix = np.array(values).reshape(n, n)
+        if transposed:
+            matrix = matrix.T  # a strided view, fed to the workers uncopied
+        started.clear()
+        save_matrix(tmp_path / "m.txt", matrix, header=header)
+        assert_no_child_left()
+        assert (tmp_path / "m.txt").read_bytes() == per_value_text(matrix, header)
+        assert bool(started) == (cpus > 1 and n > 1 and lead_rows < n)
+
+    WRAPPERS = {
+        "exit-3": '"{python}" "$@"\nexit 3',
+        "short-text": '"{python}" "$@" | head -c 100',
+        # announces more than it sends; what it sends is longer than the file
+        "long-garbage": "cat > /dev/null\necho 99999999\nhead -c 100000 /dev/zero",
+    }
+
+    @pytest.mark.parametrize("worker", ["missing", "false", *WRAPPERS])
+    def test_failed_workers_give_the_same_bytes(self, tmp_path, monkeypatch, started, rng,
+                                                worker):
+        """A worker that cannot start, exits non-zero (before or after its
+        text) or sends a short text has its range formatted in-process, over
+        whatever it sent."""
+        if worker == "missing":
+            executable = str(tmp_path / "missing")
+        elif worker == "false":
+            executable = shutil.which("false")
+            if executable is None:
+                pytest.skip("no `false` program")
+        else:
+            executable = tmp_path / worker
+            script = self.WRAPPERS[worker].format(python=sys.executable)
+            executable.write_text(f"#!/bin/sh\n{script}\n")
+            executable.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(executable))
+        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
+        monkeypatch.setattr(_text, "FORMAT_LEAD", 0)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+        matrix = rng.uniform(0.0, 1e6, (40, 40))
+        matrix[0, 39], matrix[39, 0] = INF, -INF
+        save_matrix(tmp_path / "m.txt", matrix.T, header=["failed workers"])
+        assert_no_child_left()
+        assert len(started) == 3
+        assert (tmp_path / "m.txt").read_bytes() == per_value_text(matrix.T, ["failed workers"])
+
+    @pytest.mark.parametrize("cpus,n", [(1, 400), (16, 112)])
+    def test_one_cpu_or_a_small_matrix_starts_no_worker(self, tmp_path, cpus, n):
+        """Above the crossover with one CPU, and at the size of the constants
+        workload with many, a fresh interpreter writes without importing
+        ``subprocess``."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from quasimetric import _text, space\n"
+            f"_text._usable_cpus = lambda: {cpus}\n"
+            f"space.save_matrix(sys.argv[1], np.arange({n * n}.0).reshape({n}, {n}))\n"
+            "print('subprocess' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(quasimetric.__file__).parents[1]))
+        path = tmp_path / "m.txt"
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout == "False\n"
+        assert path.read_bytes() == per_value_text(np.arange(n * n, dtype=float).reshape(n, n))
+
+    def test_split_write_of_a_transposed_matrix_peaks_below_half_of_it(
+            self, tmp_path, monkeypatch, started, rng):
+        """Above the crossover, the rows of a strided matrix reach the
+        workers and the file a block at a time: no whole copy is made."""
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+        n = 400
+        assert n * n >= 2 * _text.FORMAT_MIN
+        matrix = rng.uniform(0.0, 1e6, (n, n)).T
+        path = tmp_path / "m.txt"
+        tracemalloc.start()
+        try:
+            save_matrix(path, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_no_child_left()
+        assert len(started) == 1
+        assert peak < 0.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
+        assert path.read_bytes() == per_value_text(matrix)
+
+
+class TestWriterInputChecks:
+    """What a writer rejects is rejected before its file is opened."""
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_header_line_with_a_line_boundary(self, tmp_path, brk):
+        path = tmp_path / "kept.txt"
+        path.write_text("untouched")
+        line = f"a{brk}2"
+        with pytest.raises(ValueError, match=f"^header line {re.escape(repr(line))}"):
+            save_matrix(path, [[0, 1], [1, 0]], header=["fine", line])
+        with pytest.raises(ValueError, match="header line"):
+            save_edge_list(path, 2, [(0, 1, 1.0)], header=[f"{brk}"])
+        assert path.read_text() == "untouched"
+
+    @pytest.mark.parametrize("matrix", [[0.0, 1.0], [[0, 1, 2], [1, 0, 2]], np.empty((0, 0)),
+                                        np.zeros((2, 2, 2)), 5.0],
+                             ids=["1-d", "2x3", "0x0", "3-d", "scalar"])
+    def test_matrix_must_be_non_empty_square(self, tmp_path, matrix):
+        path = tmp_path / "kept.txt"
+        path.write_text("untouched")
+        with pytest.raises(ValueError, match="non-empty square matrix, got shape"):
+            save_matrix(path, matrix)
+        assert path.read_text() == "untouched"
+
+    def test_unopenable_path_fails_before_any_worker(self, tmp_path, monkeypatch, started):
+        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+        with pytest.raises(FileNotFoundError):
+            save_matrix(tmp_path / "no-such-dir" / "m.txt", np.zeros((8, 8)))
+        assert started == []
