@@ -666,15 +666,9 @@ class TestFileFormats:
                                                  header):
         n = math.isqrt(len(values) - 1) + 1  # the smallest square that holds them
         arr = np.array(values + [0.0] * (n * n - len(values))).reshape(n, n)
-        base = tmp_path_factory.mktemp("save")
-        save_matrix(base / "new.txt", arr, header=header)
-        with open(base / "old.txt", "w", encoding="utf-8") as fh:
-            for line in header:
-                fh.write(f"# {line}\n")
-            fh.write(f"{arr.shape[0]}\n")
-            for row in arr:
-                fh.write(" ".join(format_value(v) for v in row) + "\n")
-        assert (base / "new.txt").read_bytes() == (base / "old.txt").read_bytes()
+        path = tmp_path_factory.mktemp("save") / "m.txt"
+        save_matrix(path, arr, header=header)
+        assert path.read_bytes() == per_value_text(arr, header)
 
     def test_edge_list_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
