@@ -245,7 +245,8 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     # Scanning in order keeps a candidate exactly when it is the first to
     # hold some target: each held target's first holder, in scan order.
     hit = table.any(axis=0)
-    picks = np.unique(table.argmax(axis=0)[hit]).tolist()
+    held = np.bincount(table.argmax(axis=0)[hit], minlength=len(cand))
+    picks = np.flatnonzero(held).tolist()
     stats = CoverStats(iterations=picks[-1] + 1 if hit.all() else len(cand),
                        distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(table, picks, cand, tgt, alpha, direction, stats)

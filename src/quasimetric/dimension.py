@@ -78,9 +78,11 @@ class ConstantEstimate(Record):
 _BLOCK_CAP = 1 << 22
 
 
-def _critical_radii(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct finite positive values: the radii worth sweeping."""
-    return np.unique(values[np.isfinite(values) & (values > 0)])
+def _critical_radii(ranked: np.ndarray) -> np.ndarray:
+    """The distinct finite positive values of the sorted row ``ranked``, in
+    increasing order: the radii worth sweeping."""
+    values = ranked[np.isfinite(ranked) & (ranked > 0)]
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
 def _balls(d: np.ndarray):

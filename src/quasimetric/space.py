@@ -228,7 +228,9 @@ def _closure(n: int, weights: dict[tuple[int, int], float]) -> np.ndarray:
     over all paths, the fixed point of any label-setting or -correcting
     order.  A finished vertex never passes the test, and a row stops once
     nothing in it is reachable.  O(n^3) vectorised: ``n`` row-argmins over
-    ``n x n``.
+    ``n x n``.  Each step's reads and writes of ``label`` and ``open`` go
+    through flat indices into their 1-D views, selected by one mask: numpy's
+    2-D fancy indexing costs several times more per entry.
     """
     # Out-neighbour table, one row per vertex, padded to the largest
     # out-degree with slots pointing back at the vertex at weight +inf.
@@ -245,33 +247,40 @@ def _closure(n: int, weights: dict[tuple[int, int], float]) -> np.ndarray:
     label = np.full((n, n), np.inf)
     np.fill_diagonal(label, 0.0)
     open_ = label.copy()
-    rows = np.arange(n)  # the source of each row of open_
+    # Flat index of the first entry of each row of open_, and of the same
+    # source's row of label.
+    open_row = label_row = np.arange(0, n * n, n)
+    flat_label, flat_open = label.reshape(-1), open_.reshape(-1)
     with np.errstate(over="ignore"):  # a finite sum past the float range is +inf
         for _ in range(n):
             u = open_.argmin(axis=1)
-            val = open_[np.arange(len(rows)), u]
+            val = flat_open[open_row + u]
             live = val < np.inf
             if not live.all():  # drop the rows with nothing left to reach
                 if not live.any():
                     break
-                rows, open_, u, val = rows[live], open_[live], u[live], val[live]
-            here = np.arange(len(rows))
-            open_[here, u] = np.inf
+                label_row, open_, u, val = label_row[live], open_[live], u[live], val[live]
+                open_row, flat_open = open_row[:len(label_row)], open_.reshape(-1)
+            flat_open[open_row + u] = np.inf
             to = nbr[u]
             cand = val[:, None] + cost[u]
-            r, s = np.nonzero(cand < label[rows[:, None], to])
-            to, cand = to[r, s], cand[r, s]
-            label[rows[r], to] = cand
-            open_[r, to] = cand
+            at = label_row[:, None] + to
+            better = cand < flat_label[at]
+            cand = cand[better]
+            flat_label[at[better]] = cand
+            flat_open[(open_row[:, None] + to)[better]] = cand
     return label
 
 
 _MAX_REPORTED = 1000
 
-# Element budget of one row block of the min-plus pass: the block's running
-# minima and its scratch sums (256 KB each) stay in a core's L2 cache.  Each
-# thread of the pass owns one such pair.
+# Element budget of one column panel of the min-plus pass: a thread's
+# contiguous copy of its current panel (256 KB) stays in a core's L2 cache.
 _SCAN_BLOCK_CAP = 1 << 15
+
+# Rows of one step of the min-plus pass: its scratch sums hold this many
+# copies of the panel.
+_SCAN_GROUP_ROWS = 4
 
 
 def _checked_tolerance(tolerance: Optional[float]) -> float:
@@ -339,34 +348,47 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
     An infinite or NaN right-hand side is never violated; with
     ``exempt_infinite_lhs`` neither is an infinite left-hand side.
 
-    One min-plus pass, a block of rows at a time, finds the pairs ``(i, j)``
-    violated at the smallest right-hand side; the blocks are dealt in turn
-    to one thread per usable CPU.  Since ``x -> x * scale`` stays monotone
-    after rounding for ``scale >= 0``, these include every pair violated at
-    some ``k``; the per-``k`` loop then lists triples over those pairs only.
+    One min-plus pass finds the pairs ``(i, j)`` violated at the smallest
+    right-hand side.  It takes the columns ``j`` a panel at a time, dealt in
+    turn to one thread per usable CPU, and the rows ``i`` a few at a time:
+    one sum over all ``k`` of those rows and that panel, then its minimum
+    over ``k``.  A symmetric ``d`` (as every symmetrization is) has a
+    symmetric set of pairs, since ``fl(a + b) == fl(b + a)``, so each panel
+    then scans only the rows up to its last column and the transpose fills
+    in the rest.  Since ``x -> x * scale`` stays monotone after rounding for
+    ``scale >= 0``, these include every pair violated at some ``k``; the
+    per-``k`` loop then lists triples over those pairs only.
+
+    Each thread holds a contiguous copy of its panel, ``cols x n`` floats,
+    and sums of ``_SCAN_GROUP_ROWS`` times that: 1.3 MB at n = 500.
     """
     scale = 1.0 + report.tolerance
     n = d.shape[0]
-    rows = min(n, max(1, _SCAN_BLOCK_CAP // n))
-    suspect = np.empty((n, n), dtype=bool)
+    cols = min(n, max(1, _SCAN_BLOCK_CAP // n))
+    half = np.array_equal(d, d.T)
+    suspect = np.zeros((n, n), dtype=bool)
 
     def scan(starts: range) -> None:
-        best_buf, sums_buf = np.empty((rows, n)), np.empty((rows, n))
+        sums_buf = np.empty((_SCAN_GROUP_ROWS, cols, n))
         # -inf + inf is NaN: never a violation.  numpy's error state is
         # context-local, so each thread sets its own.
         with np.errstate(invalid="ignore"):
-            for r0 in starts:
-                block = d[r0:r0 + rows]
-                best, sums = best_buf[:len(block)], sums_buf[:len(block)]
-                best.fill(np.inf)
-                for k in range(n):
-                    np.add(block[:, k, None], d[None, k, :], out=sums)
-                    np.fmin(best, sums, out=best)  # fmin skips a NaN sum
-                np.greater(block, best * scale, out=suspect[r0:r0 + rows])
+            for c0 in starts:
+                panel = np.ascontiguousarray(d.T[c0:c0 + cols])  # [j, k] = d[k, c0 + j]
+                c1 = c0 + len(panel)
+                stop = c1 if half else n
+                for r0 in range(0, stop, _SCAN_GROUP_ROWS):
+                    r1 = min(r0 + _SCAN_GROUP_ROWS, stop)
+                    sums = sums_buf[:r1 - r0, :c1 - c0]
+                    np.add(d[r0:r1, None, :], panel, out=sums)
+                    best = np.fmin.reduce(sums, axis=2)  # fmin skips a NaN sum
+                    np.greater(d[r0:r1, c0:c1], best * scale, out=suspect[r0:r1, c0:c1])
 
-    starts = range(0, n, rows)
+    starts = range(0, n, cols)
     threads = min(_text._usable_cpus(), len(starts))
     _in_threads(scan, [starts[t::threads] for t in range(threads)])
+    if half:
+        suspect |= suspect.T
     with np.errstate(invalid="ignore"):
         if exempt_infinite_lhs:
             suspect &= np.isfinite(d)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasimetric
 from quasimetric import (bound_consistent, density_constant, gen_random_bounded,
-                         save_matrix, to_max_metric)
+                         save_labels, save_matrix, to_max_metric)
 from quasimetric.cli import main
 
 BROKEN = [[0, 10, 1], [10, 0, 1], [1, 1, 0]]
@@ -638,3 +643,26 @@ class TestHarness:
         rc, doc, _ = run(["gen", "--kind", "line", "--n", "4"], capsys)
         assert rc == 0
         assert doc["matrix"][1][0] == "inf" and doc["matrix"][0][1] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--direction", "outer", "--per-ball"],
+        ["train", "--labels", "{labels}", "--algo", "iterated"],
+        ["cover", "--alpha", "2", "--direction", "outer", "--algo", "arbitrary"],
+    ], ids=["dimension-per-ball", "train-iterated", "cover-arbitrary"])
+    def test_command_leaves_numpy_ma_unloaded(self, cycle8, tmp_path, argv):
+        """numpy 2's ``np.unique`` imports ``numpy.ma`` on its first call:
+        about 20 ms and a megabyte of a cold command that never needs it."""
+        labels = tmp_path / "labels.txt"
+        save_labels(labels, {i: 1 if i < 4 else -1 for i in range(8)})
+        script = (
+            "import sys\n"
+            "from quasimetric import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(quasimetric.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = [a.format(labels=labels) for a in argv] + ["--input", cycle8]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stderr.splitlines()[-1] == "0 False"

@@ -162,6 +162,32 @@ class TestBuildFromDigraph:
         got = build_from_digraph(n, edges, mode=Mode.RELAXED).dist
         assert np.array_equal(got, want)
 
+    def test_rows_that_run_out_at_different_steps(self):
+        """A 3-cycle on 0, 2, 4 and a 5-cycle on 1, 3, 5, 6, 7, joined by the
+        one edge 7 -> 0.  Rows 0, 2 and 4 reach three vertices and leave the
+        lock step after three steps; the others reach all eight, and each
+        then sits at a new row of the open labels."""
+        edges = [(0, 2, 0.5), (2, 4, 1.25), (4, 0, 0.75), (2, 0, 4.0),
+                 (1, 3, 1.5), (3, 5, 0.25), (5, 6, 2.0), (6, 7, 0.5), (7, 1, 1.0),
+                 (5, 1, 3.0), (7, 0, 0.125)]
+        w = np.full((8, 8), INF)
+        for u, v, x in edges:
+            w[u, v] = x
+        got = build_from_digraph(8, edges, mode=Mode.RELAXED).dist
+        want = floyd_warshall(w)
+        small, large = [0, 2, 4], [1, 3, 5, 6, 7]
+        assert np.isinf(want[np.ix_(small, large)]).all() and np.isfinite(want[large]).all()
+        assert np.array_equal(got, want)
+        try:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import dijkstra
+        except ImportError:
+            return
+        graph = csr_matrix(([x for _, _, x in edges],
+                            ([u for u, _, _ in edges], [v for _, v, _ in edges])),
+                           shape=(8, 8))
+        assert np.array_equal(got, dijkstra(graph, directed=True))
+
     def test_path_summing_past_the_float_range_is_unreachable(self):
         qm = build_from_digraph(3, [(0, 1, 1e308), (1, 2, 1e308)], mode=Mode.RELAXED)
         assert qm.dist[0, 1] == 1e308 and qm.dist[0, 2] == INF  # as scipy's dijkstra gives
@@ -375,6 +401,34 @@ class TestValidate:
         assert threading.active_count() == before
         assert (report.triangle_count, report.triangle_violations) == (0, [])
 
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=10),
+           relaxed=st.booleans(), closed=st.booleans(),
+           op=st.sampled_from(["min", "max", "sum"]), panel_cols=st.integers(1, 3),
+           tol=st.sampled_from([0.0, 1e-9, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_half_scan_of_symmetric_matrices(self, data, n, relaxed, closed, op,
+                                             panel_cols, tol):
+        """Exactly symmetric input takes the half scan: each panel scans the
+        rows up to its last column, and the transpose supplies the rest."""
+        weights = [1.0, 2.0, 3.0] + ([INF] if relaxed else [])
+        d = np.array(data.draw(st.lists(st.sampled_from(weights),
+                                        min_size=n * n, max_size=n * n))).reshape(n, n)
+        d = floyd_warshall(d) if closed else d
+        np.fill_diagonal(d, 0.0)
+        d = {"min": np.minimum, "max": np.maximum, "sum": np.add}[op](d, d.T)
+        assert np.array_equal(d, d.T)
+        assert_scans_match_on_cpus(d, relaxed, tol, panel_cols)
+
+    @pytest.mark.parametrize("panel_cols", [1, 2])
+    def test_nearly_symmetric_matrix_takes_the_full_scan(self, panel_cols):
+        """Symmetric but for ``d[2, 0]``, one ulp above ``d[2, 1] + d[1, 0]``:
+        its only violation lies below the diagonal, where a half scan with
+        panels narrower than three columns never looks."""
+        d = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        d[2, 0] = np.nextafter(3.0, INF)
+        assert brute_triangle_violations(d, 0.0) == [(2, 0, 1, d[2, 0], 3.0)]
+        assert_scans_match_on_cpus(d, False, 0.0, panel_cols)
+
 
 @pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
 def scan_cpus(request, monkeypatch):
@@ -387,6 +441,16 @@ def one_way_ring(n):
     """``d[i, j] = (j - i) mod n``: a closed one-way ring."""
     ids = np.arange(n)
     return ((ids[None, :] - ids[:, None]) % n).astype(np.float64)
+
+
+def assert_scans_match_on_cpus(d, relaxed, tol, panel_cols):
+    """:func:`assert_scans_match_brute_force` with the scan's panels
+    ``panel_cols`` columns wide, on one and on four usable CPUs."""
+    for cpus in (1, 4):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_text, "_usable_cpus", lambda: cpus)
+            patch.setattr(space_module, "_SCAN_BLOCK_CAP", panel_cols * len(d))
+            assert_scans_match_brute_force(d, relaxed, tol)
 
 
 def assert_scans_match_brute_force(d, relaxed, tol):
