@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from array import array
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -36,32 +37,55 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-safe values with stable float formatting."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+def _scalar(obj) -> Optional[str]:
+    """The JSON text of a scalar, or None for a dict, list or tuple.
+
+    Bools and ints are written as such.  A float is written as the string
+    "inf", "-inf" or "nan", exactly if it is integral and below 1e15 in
+    size, and otherwise rounded to 12 significant digits.  Anything else
+    goes to ``json.dumps``, which writes a string or None and raises
+    ``TypeError`` for a type JSON does not know.
+    """
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is tuple or kind is list or kind is dict:
+        return None
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float or isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        if f == int(f) and abs(f) < 1e15:
-            return f
-        return _sig12(f)
-    return obj
+        if f - f != 0:  # inf or nan
+            return '"nan"' if f != f else '"inf"' if f > 0 else '"-inf"'
+        return float.__repr__(f if f.is_integer() and abs(f) < 1e15 else _sig12(f))
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (dict, list, tuple)):
+        return None
+    return json.dumps(obj)
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` writes it, closing on the line
+    ``indent`` starts; dict keys become ``str(key)`` and tuples lists."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + (_scalar(v) or _json_text(v, inner))
+                 for k, v in {str(k): v for k, v in obj.items()}.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not obj:
+        return "[]"
+    items = [_scalar(v) or _json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _document(command: str, payload: dict) -> str:
     """The schema-1 JSON document of one command, as stdout and files hold it."""
-    doc = {"schema": SCHEMA, "command": command, **payload}
-    return json.dumps(_jsonable(doc), indent=2) + "\n"
+    return _json_text({"schema": SCHEMA, "command": command, **payload}) + "\n"
 
 
 def emit(command: str, payload: dict) -> None:

@@ -104,15 +104,15 @@ def _packed(dists: np.ndarray, radii: np.ndarray, sizes) -> tuple[np.ndarray, np
     return np.ascontiguousarray(covers), active.view(np.uint64)
 
 
-def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
+def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: list[np.ndarray],
                    radii: list[float], max_uncovered: int = 0
                    ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The greedy set-cover loop, run over a batch of packed-bitset entries.
 
     ``covers[b, :, c]`` holds, as 64-bit words, the targets candidate c
     covers in entry b, and ``active[b]`` the targets to cover there; bit j
-    stands for target ``ids[j]``, and ``radii[b]`` is the radius named when
-    entry b cannot be covered.  Each round picks, per entry, the candidate
+    stands for target ``ids[b][j]``, and ``radii[b]`` is the radius named
+    when entry b cannot be covered.  Each round picks, per entry, the candidate
     covering the most active targets (first maximum, so the lowest index
     wins ties); an entry leaves once at most ``max_uncovered`` of its
     targets are left.  Returns each round's (entry indices, picks).
@@ -124,7 +124,7 @@ def _greedy_rounds(covers: np.ndarray, active: np.ndarray, ids: np.ndarray,
     stuck = np.flatnonzero(np.bitwise_count(lost).sum(axis=1) > max_uncovered)
     if stuck.size:
         j = int(stuck[0])
-        missing = set(ids[np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))].tolist())
+        missing = set(ids[j][np.flatnonzero(np.unpackbits(lost[j].view(np.uint8)))].tolist())
         raise CoverageError(
             f"{len(missing)} target point(s) lie in no candidate ball at "
             f"radius {radii[j]}", uncoverable=missing)
@@ -196,7 +196,7 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
         allowance += 1
     elif allowance / len(tgt) > max_fraction:
         allowance -= 1
-    picks = _greedy_rounds(covers, active, np.array(tgt), [alpha], allowance)
+    picks = _greedy_rounds(covers, active, [np.array(tgt)], [alpha], allowance)
     stats = CoverStats(iterations=len(picks),
                        distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(dists[:, :len(tgt)] <= alpha, [int(best[0]) for _, best in picks],

@@ -71,11 +71,16 @@ class ConstantEstimate(Record):
     per_ball: list[tuple[int, float, int]] = field(default_factory=list)
 
 
-# Largest unpacked boolean coverage block (radii x candidates x members,
-# members padded to whole words) that the greedy sweep builds at once; a
-# center with more radii splits them, so memory stays O(n^2) rather than
-# the O(n^3) of all its balls together.
+# Largest unpacked boolean coverage block (entries x candidates x members,
+# members padded to whole words) that the greedy sweep builds from one
+# center's balls; a center with more radii splits them, so memory stays
+# O(n^2) rather than the O(n^3) of all its balls together.
 _BLOCK_CAP = 1 << 22
+
+# The balls of consecutive centers share a block while it stays within
+# this size: at n = 80 (0.8 M bits per center) blocks of three centers swept
+# fastest, and blocks of five, outgrowing the cache, slower than one.
+_GATHER_CAP = 3 << 20
 
 
 def _critical_radii(ranked: np.ndarray) -> np.ndarray:
@@ -101,30 +106,59 @@ def _balls(d: np.ndarray):
             yield center, perm, radii, np.searchsorted(ranked, radii, side="right")
 
 
-def _greedy_sweep(d: np.ndarray):
-    """Yield (center, radius, greedy cover size) over all critical OUTER balls.
+def _greedy_sweep(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The center, radius and greedy cover size of every critical OUTER
+    ball, as three arrays in sweep order.
 
-    Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``,
-    computed for a chunk of a center's radii at once: one batch of the
-    greedy kernel covers the chunk's balls, each size being its entry's
-    round count.
+    Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``.
+    The packed balls of consecutive centers gather into one block until the
+    next center's would push it past ``_GATHER_CAP``; one batch of the
+    greedy kernel then covers the block, each size being its entry's round
+    count.
     """
     n = d.shape[0]
-    for center, perm, radii, members in _balls(d):
+    centers, radii, sizes = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, int)]
+    block, entries, width = [], 0, 0
+    for center, perm, rs, members in _balls(d):
         # Whole 64-bit words per candidate row; the inf padding lies in no ball.
-        width = -(-members[-1] // 64) * 64
-        table = np.full((n, width), np.inf)
+        words = -(-members[-1] // 64)
+        table = np.full((n, 64 * words), np.inf)
         table[:, :members[-1]] = d[:, perm[:members[-1]]]
-        step = max(1, _BLOCK_CAP // (n * width))
-        for lo in range(0, radii.size, step):
-            rs = radii[lo:lo + step]
-            halves = rs / 2.0
-            covers, active = _cover._packed(table, halves, members[lo:lo + step])
-            picks = _cover._greedy_rounds(covers, active, perm, halves.tolist())
-            sizes = np.bincount(np.concatenate([live for live, _ in picks]),
-                                minlength=rs.size)
-            for radius, size in zip(rs.tolist(), sizes.tolist()):
-                yield center, radius, size
+        step = max(1, _BLOCK_CAP // (n * table.shape[1]))
+        for lo in range(0, rs.size, step):
+            chunk = rs[lo:lo + step]
+            if block and (entries + chunk.size) * n * 64 * max(width, words) > _GATHER_CAP:
+                sizes.append(_block_sizes(block, entries, width))
+                block, entries, width = [], 0, 0
+            halves = chunk / 2.0
+            block.append((*_cover._packed(table, halves, members[lo:lo + step]),
+                          perm, halves.tolist()))
+            entries, width = entries + chunk.size, max(width, words)
+        centers.append(np.full(rs.size, center))
+        radii.append(rs)
+    if block:
+        sizes.append(_block_sizes(block, entries, width))
+    return np.concatenate(centers), np.concatenate(radii), np.concatenate(sizes)
+
+
+def _block_sizes(block: list, entries: int, width: int) -> np.ndarray:
+    """Greedy cover sizes of the ``entries`` entries of ``block``, a list of
+    ``(covers, active, perm, halves)`` pieces from ``cover._packed``, in one
+    batch of the greedy kernel.  A piece's rows are padded to ``width`` with
+    zero words, which no ball covers and no entry needs covered."""
+    covers, active = block[0][:2]
+    if len(block) > 1:
+        covers = np.zeros((entries, width, covers.shape[2]), np.uint64)
+        active = np.zeros((entries, width), np.uint64)
+        at = 0
+        for piece_covers, piece_active, _, _ in block:
+            covers[at:at + len(piece_active), :piece_active.shape[1]] = piece_covers
+            active[at:at + len(piece_active), :piece_active.shape[1]] = piece_active
+            at += len(piece_active)
+    ids = [perm for _, piece_active, perm, _ in block for _ in piece_active]
+    halves = [half for *_, piece_halves in block for half in piece_halves]
+    picks = _cover._greedy_rounds(covers, active, ids, halves)
+    return np.bincount(np.concatenate([live for live, _ in picks]), minlength=entries)
 
 
 def _constant(qm: QuasiMetric, quantity: str, method: str,
@@ -141,11 +175,11 @@ def _constant(qm: QuasiMetric, quantity: str, method: str,
     orientation = direction or Direction.OUTER
     d = qm.oriented(orientation)
     if quantity != "density" and method == "greedy":
-        rows = _greedy_sweep(d)
+        centers, radii, sizes = _greedy_sweep(d)
     else:
-        rows = []
-        for center, perm, radii, members in _balls(d):
-            for radius, m in zip(radii.tolist(), members.tolist()):
+        centers, radii, sizes = [], [], []
+        for center, perm, rs, members in _balls(d):
+            for radius, m in zip(rs.tolist(), members.tolist()):
                 ball, half = np.sort(perm[:m]).tolist(), radius / 2.0
                 if quantity != "density":
                     size, _ = _cover.exact_min_cover(qm, ball, range(qm.n), half,
@@ -154,12 +188,15 @@ def _constant(qm: QuasiMetric, quantity: str, method: str,
                     size = _max_packing(d, ball, half)
                 else:
                     size = _greedy_clique_cover(d, ball, half)
-                rows.append((center, radius, size))
-    est = ConstantEstimate(value=1, quantity=quantity, method=method, direction=direction)
-    for center, radius, needed in rows:
-        est.per_ball.append((center, radius, needed))
-        if needed > est.value:
-            est.value, est.witness_center, est.witness_radius = needed, center, radius
+                centers.append(center)
+                radii.append(radius)
+                sizes.append(size)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    est = ConstantEstimate(value=1, quantity=quantity, method=method, direction=direction,
+                           per_ball=list(zip(np.asarray(centers).tolist(),
+                                             np.asarray(radii).tolist(), sizes.tolist())))
+    if sizes.size and sizes.max() > 1:
+        est.witness_center, est.witness_radius, est.value = est.per_ball[int(sizes.argmax())]
     return est
 
 

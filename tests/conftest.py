@@ -3,10 +3,12 @@ own algorithms: closures via Floyd-Warshall instead of Dijkstra, covers via
 subset enumeration instead of branch and bound, the greedy rule via
 Python sets instead of packed bitsets, the arbitrary cover as a scan
 instead of one argmax, the greedy clique cover one pair
-at a time instead of by adjacency masks, and the file parsers over the
-whole text instead of one line at a time."""
+at a time instead of by adjacency masks, the file parsers over the
+whole text instead of one line at a time, and the JSON document as a
+converted copy handed to ``json.dumps`` instead of written in one walk."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -173,6 +175,36 @@ def brute_greedy_clique_cover(dist: np.ndarray, members, half: float) -> int:
         remaining = rest
         cliques += 1
     return cliques
+
+
+def jsonable(obj):
+    """A JSON-safe copy of ``obj`` under the CLI's rules: str keys, lists for
+    tuples, Python bools and ints, and floats as the strings "inf", "-inf"
+    and "nan", exact when integral below 1e15, else to 12 significant
+    digits.  Other objects are left for ``json.dumps`` to take or refuse."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        if math.isnan(f):
+            return "nan"
+        if f == int(f) and abs(f) < 1e15:
+            return f
+        return float(f"{f:.12g}")
+    return obj
+
+
+def brute_document(command: str, payload: dict) -> str:
+    """The schema-1 document of one command, through ``json.dumps``."""
+    return json.dumps(jsonable({"schema": 1, "command": command, **payload}), indent=2) + "\n"
 
 
 def whole_text_lines(text: str) -> list:

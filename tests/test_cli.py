@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quasimetric
 from quasimetric import (bound_consistent, density_constant, gen_random_bounded,
                          save_labels, save_matrix, to_max_metric)
-from quasimetric.cli import main
+from quasimetric.cli import _document, main
+
+from conftest import brute_document
 
 BROKEN = [[0, 10, 1], [10, 0, 1], [1, 1, 0]]
 FOUR_POINT = [[0.0, 1.2, 1.0, 2.0],
@@ -615,6 +619,64 @@ class TestKeyOrder:
             assert fixture["expected"]
             for prop in fixture["expected"]:
                 assert list(prop) == ["name", "value", "origin"]
+
+
+# Scalars of every type a payload carries, with the floats at the edges of
+# the writer's rules: infinities, NaN, signed zero and integral values on
+# both sides of 1e15.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e15 - 1, 1e15, 1e15 + 2,
+                     -1e15, -(1e15 - 1), 2.0 ** 53, 1e16, 123456789012.5]),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)))
+_KEYS = st.one_of(st.text(), st.integers(-3, 3), st.floats(), st.booleans(), st.none(),
+                  st.integers(-3, 3).map(np.int64))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+class TestDocumentWriter:
+    @given(payload=st.dictionaries(_KEYS, _VALUES, max_size=5))
+    @example(payload={1: "a", "x": [], "1": "b", True: {}, "True": ()})  # keys collide
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_oracle(self, payload):
+        assert _document("x", payload) == brute_document("x", payload)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, np.zeros(2), b"bytes"])
+    def test_unknown_type_raises_like_json_dumps(self, value):
+        payload = {"rows": [[1, 2.5], {"bad": (value,)}]}
+        with pytest.raises(TypeError) as ref:
+            brute_document("x", payload)
+        with pytest.raises(TypeError) as err:
+            _document("x", payload)
+        assert str(err.value) == str(ref.value)
+
+    def test_stdout_reads_back_to_the_same_bytes(self, cycle8, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        save_labels(labels, {i: 1 if i < 4 else -1 for i in range(8)})
+        broken = tmp_path / "broken.txt"
+        save_matrix(broken, BROKEN)
+        spec = tmp_path / "spec.json"
+        commands = [
+            (["dimension", "--input", cycle8, "--direction", "outer", "--per-ball"], 0),
+            (["train", "--input", cycle8, "--labels", str(labels)], 0),
+            (["validate", "--input", str(broken)], 1),
+            (["cover", "--input", cycle8, "--alpha", "2", "--direction", "inner",
+              "--compare"], 0),
+            (["bound", "--regime", "agnostic", "--n", "100", "--k", "5", "--delta", "0.05",
+              "--eps", "0.1"], 0),
+            (["gen", "--kind", "line", "--n", "5", "--spec-out", str(spec)], 0),
+        ]
+        for argv, code in commands:
+            assert main(argv) == code
+            out = capsys.readouterr().out
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv[0]
+        written = spec.read_text()
+        assert json.dumps(json.loads(written), indent=2) + "\n" == written
 
 
 class TestHarness:

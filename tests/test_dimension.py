@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quasimetric import (CoverageError, Direction, build_from_matrix,
                          density_constant, directional_constant, doubling_constant,
-                         gen_backedge_line, gen_cycle, gen_hst_toward_root,
+                         gen_backedge_line, gen_cycle, gen_hst_toward_root, gen_line,
                          gen_random_bounded, gen_spoke_subset, greedy_cover, log_iter,
                          log_star, to_max_metric, to_min_semimetric, transpose)
 from quasimetric import dimension
@@ -47,6 +47,20 @@ def assert_matches_reference(est, rows):
     assert est.value == max([1] + [v for _, _, v in rows])
     witness = next(((c, r) for c, r, v in rows if v == est.value and v > 1), (0, 0.0))
     assert (est.witness_center, est.witness_radius) == witness
+
+
+def spy_blocks(monkeypatch) -> list:
+    """Record, per call of the greedy kernel, the centers of its entries (a
+    center's permutation starts with itself on these zero-diagonal spaces
+    without ties at 0)."""
+    blocks, kernel = [], dimension._cover._greedy_rounds
+
+    def spy(covers, active, ids, *args):
+        blocks.append({int(perm[0]) for perm in ids})
+        return kernel(covers, active, ids, *args)
+
+    monkeypatch.setattr(dimension._cover, "_greedy_rounds", spy)
+    return blocks
 
 
 class TestIteratedLogs:
@@ -197,6 +211,62 @@ class TestDirectionalConstant:
             directional_constant(qm, Direction.OUTER)
         assert str(err.value) == str(ref.value)
         assert err.value.uncoverable == ref.value.uncoverable == {0}
+
+    @given(qm=tie_heavy_spaces(), direction=st.sampled_from(list(Direction)),
+           entries=st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_kernel_matches_reference_in_blocks(self, qm, direction, entries):
+        # Blocks of at most ``entries`` one-word balls: several centers per
+        # block, or one center's radii split over several.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dimension, "_BLOCK_CAP", entries * qm.n * 64)
+            patch.setattr(dimension, "_GATHER_CAP", entries * qm.n * 64)
+            est = directional_constant(qm, direction)
+        assert_matches_reference(est, greedy_reference(qm, direction))
+
+    @pytest.mark.parametrize("per_block", [2, 3])
+    def test_blocks_of_two_or_three_centers_match_reference(self, per_block, monkeypatch):
+        # Every center of this n = 40 ring has 39 radii, one word wide.
+        qm = gen_random_bounded(40, 3).space
+        monkeypatch.setattr(dimension, "_GATHER_CAP", per_block * 39 * 40 * 64)
+        blocks = spy_blocks(monkeypatch)
+        for direction in Direction:
+            blocks.clear()
+            assert_matches_reference(directional_constant(qm, direction),
+                                     greedy_reference(qm, direction))
+            assert [len(b) for b in blocks] == [per_block] * (40 // per_block) + \
+                [40 % per_block] * (40 % per_block > 0)
+
+    @pytest.mark.parametrize("direction,gather_cap,mixed", [
+        (Direction.OUTER, 80 * 128 * 128, {15, 16}),
+        (Direction.INNER, 80 * 128 * 130, {63, 64}),
+    ])
+    def test_block_of_one_and_two_word_balls(self, direction, gather_cap, mixed,
+                                             monkeypatch):
+        # On the n = 80 line the OUTER balls of centers up to 15 reach past
+        # 64 points and those from 16 on do not; INNER mirrors this at 63 and
+        # 64.  The cap puts the two centers ``mixed`` in one block, so the
+        # narrower one's words are padded.
+        qm = gen_line(80).space
+        monkeypatch.setattr(dimension, "_GATHER_CAP", gather_cap)
+        blocks = spy_blocks(monkeypatch)
+        est = directional_constant(qm, direction)
+        assert any(mixed <= b for b in blocks)
+        centers = sorted(mixed | {min(mixed) - 1, max(mixed) + 1})
+        assert [row for row in est.per_ball if row[0] in centers] == \
+            greedy_reference(qm, direction, centers)
+
+    def test_uncoverable_member_of_a_later_center_in_the_block(self):
+        # Point 1 lies outside its own half-radius ball; center 1's radius-1
+        # ball is the block's second center's first entry, and its bit 0 is
+        # point 1 under center 1's order but point 0 under center 0's.
+        qm = build_from_matrix([[0.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(CoverageError) as ref:
+            greedy_cover(qm, [1], range(2), 0.5, Direction.OUTER)
+        with pytest.raises(CoverageError) as err:
+            directional_constant(qm, Direction.OUTER)
+        assert str(err.value) == str(ref.value)
+        assert err.value.uncoverable == ref.value.uncoverable == {1}
 
     def test_per_ball_breakdown(self):
         qm = gen_cycle(4).space
