@@ -1,4 +1,4 @@
-"""The text rules of matrix, edge-list and query files, read and written.
+"""The text rules of data files, and the one place work spreads over cores.
 
 Input: this module defines once which lines of a file are data lines
 (:func:`data_lines`) and how a matrix row or a query side becomes float64
@@ -10,8 +10,12 @@ Output: :func:`format_rows` is the one rule for a matrix file's rows.
 ``space.save_matrix`` writes through :func:`write_rows`, which formats a
 large matrix's rows in ranges on several cores, with the same bytes.
 
-The module imports only the standard library, so the same file, run as a
-script, is a parse or format worker that starts in milliseconds.
+Cores: :func:`_usable_cpus` is the one CPU count and :func:`in_threads` the
+one thread fan-out.  The parse and format workers are this file run as a
+script, and each replies in one format: a line ``nbytes [int ...]``, then
+exactly ``nbytes`` bytes, then exit status 0.  The module imports only the
+standard library (``threading`` and ``subprocess`` once work is split), so
+a worker starts in milliseconds.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import stat
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 
 # Smallest byte range worth a worker.  The first range, parsed in-process,
 # is RANGE_MIN // 3 bytes longer than the others while each worker starts
@@ -121,6 +125,85 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def in_threads(work: Callable, items: Sequence) -> None:
+    """Call ``work`` on each of ``min(CPUs, len(items))`` shares of ``items``,
+    dealt in turn: the first share in this thread, each other on a thread of
+    its own (numpy's loops release the GIL).  Once every thread has been
+    joined, the first error raised in another thread is raised here.
+    """
+    import threading  # at the top it would slow every worker's start
+
+    shares = min(_usable_cpus(), len(items)) or 1
+    errors, started = [], []
+
+    def guarded(share) -> None:
+        try:
+            work(share)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    try:
+        for t in range(1, shares):
+            thread = threading.Thread(target=guarded, args=(items[t::shares],))
+            thread.start()
+            started.append(thread)
+        work(items[::shares])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _start(args: list, pass_fds: tuple = ()):
+    """This file started as a ``python -I -S`` worker on ``args``, with pipes
+    for stdin and stdout and stderr discarded; None if it cannot start."""
+    import subprocess  # only work that is split pays for this import
+
+    try:
+        return subprocess.Popen([sys.executable, "-I", "-S", __file__, *map(str, args)],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, pass_fds=pass_fds)
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _reap(procs: list) -> None:
+    """Kill and wait for every worker of ``procs`` that started."""
+    for proc in filter(None, procs):
+        with proc:  # closes its pipes and reaps it
+            proc.kill()  # does nothing to a worker already reaped
+
+
+def _send(chunks: list, *ints: int) -> int:
+    """Write a worker's reply, the bytes-like ``chunks`` after the line
+    ``nbytes ints...``, to stdout; return exit status 0."""
+    out = sys.stdout.buffer
+    size = sum(memoryview(chunk).nbytes for chunk in chunks)
+    out.write(" ".join(map(str, [size, *ints])).encode() + b"\n")
+    out.writelines(chunks)
+    out.flush()
+    return 0
+
+
+def _receive(proc, sink: Callable) -> list[int] | None:
+    """Pass a worker's reply bytes to ``sink``, at most ``_READ`` at a time,
+    and return the ints of its line after ``nbytes``; None if it sends other
+    than ``nbytes`` bytes or then fails to exit with status 0 within
+    ``_EXIT_WAIT_S``, or if ``sink`` raises ValueError."""
+    import subprocess
+
+    try:
+        left, *ints = map(int, proc.stdout.readline().split())
+        while left > 0 and (piece := proc.stdout.read(min(left, _READ))):
+            sink(piece)
+            left -= len(piece)
+        whole = not left and not proc.stdout.read(1)
+        return ints if whole and proc.wait(timeout=_EXIT_WAIT_S) == 0 else None
+    except (ValueError, subprocess.SubprocessError):
+        return None
+
+
 def _regular_utf8_file(source) -> os.stat_result | None:
     """``fstat`` of the regular file under ``source`` when it is a text file
     opened as strict UTF-8 and still at offset 0; otherwise None."""
@@ -205,64 +288,38 @@ def parse_in_ranges(source, width: int | None = None
     lines, width = (2 * count, width) if query else (count, count)
     cuts = split[1]
 
-    import subprocess  # only an input that is split pays for this import
-
     values, dashes, procs = array("d"), [], []
     try:
         for start, stop in zip(cuts[1:], cuts[2:]):
-            procs.append(subprocess.Popen(
-                [sys.executable, "-I", "-S", __file__,
-                 str(fd), str(start), str(stop), str(width), str(int(query))],
-                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, pass_fds=(fd,)))
+            procs.append(_start([fd, start, stop, width, int(query)], (fd,)))
+            if procs[-1] is None:
+                return None
         found = parse_range(fd, cuts[0], cuts[1], width, query, values, dashes)
         for proc in procs:
-            found += _receive(proc, width, found, values, dashes)
-    except (OSError, ValueError, EOFError, subprocess.SubprocessError):
+            reply = _receive(proc, values.frombytes)  # [count, dash...]
+            if not reply:
+                return None
+            dashes.extend(found + d for d in reply[1:])
+            found += reply[0]
+    except (OSError, ValueError):
         return None
     finally:
-        for proc in procs:
-            with proc:  # closes its pipes and reaps it
-                proc.kill()  # does nothing to a worker already reaped
+        _reap(procs)
     after = os.fstat(fd)
     changed = (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns)
-    if found != lines or changed:
+    if found != lines or len(values) != width * (lines - len(dashes)) or changed:
         return None
     return count, values, dashes
 
 
-def _receive(proc, width: int, offset: int, values: array, dashes: list) -> int:
-    """Append one worker's rows to ``values`` and its `-` lines, shifted by
-    ``offset``, to ``dashes``; return its line count.
-
-    The worker sends a line ``count dash...`` and then the raw float64 of
-    its rows.  ValueError or EOFError if it sends anything else.
-    """
-    head = [int(token) for token in proc.stdout.readline().split()]
-    if not head:
-        raise ValueError("the worker rejected its range")
-    for _ in range(head[0] - len(head) + 1):  # a row at a time: no second copy
-        values.fromfile(proc.stdout, width)
-    if proc.stdout.read(1) or proc.wait(timeout=_EXIT_WAIT_S) != 0:
-        raise ValueError("the worker failed")
-    dashes.extend(offset + d for d in head[1:])
-    return head[0]
-
-
 def _parse_worker(argv: list[str]) -> int:
-    """Parse one range and write it to stdout as :func:`_receive` reads it;
-    exit status 1, with nothing written, if the range is rejected."""
+    """Parse one range and send its raw float64 with the reply line
+    ``nbytes count dash...``.  A rejected range raises, so the worker
+    exits with status 1 and sends nothing."""
     fd, start, stop, width, query = map(int, argv)
     values, dashes = array("d"), []
-    try:
-        count = parse_range(fd, start, stop, width, bool(query), values, dashes)
-    except (OSError, ValueError):
-        return 1
-    out = sys.stdout.buffer
-    out.write(" ".join(map(str, [count, *dashes])).encode() + b"\n")
-    values.tofile(out)
-    out.flush()
-    return 0
+    count = parse_range(fd, start, stop, width, bool(query), values, dashes)
+    return _send([values], count, *dashes)
 
 
 def format_rows(rows: memoryview) -> bytes:
@@ -292,8 +349,8 @@ def write_rows(out, rows: memoryview) -> None:
     float64 of its rows a block at a time and formats them into its own
     memory while the rest of the first range is formatted here.  The
     workers' texts are copied in range order; a range whose worker cannot
-    start, fails or sends a short text is formatted here instead.  Every
-    worker is reaped before this returns.
+    start or sends no whole reply is formatted here instead.  Every worker
+    is reaped before this returns.
     """
     count, width = rows.shape
     ranges = min(_usable_cpus(), count * width // FORMAT_MIN)
@@ -301,21 +358,12 @@ def write_rows(out, rows: memoryview) -> None:
         _format_range(out.write, rows)
         return
 
-    import subprocess  # only a matrix that is split pays for this import
-
     lead = min(count, FORMAT_LEAD // width)
     cuts = sorted({0, count, *(lead + (count - lead) * i // ranges for i in range(1, ranges))})
     procs = []
     try:
         for start, stop in zip(cuts[1:], cuts[2:]):
-            try:
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", __file__, "format",
-                     str(stop - start), str(width)],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL))
-            except (OSError, subprocess.SubprocessError):
-                procs.append(None)
+            procs.append(_start(["format", stop - start, width]))
         _format_range(out.write, rows[:lead])
         for start, stop, proc in zip(cuts[1:], cuts[2:], procs):
             if proc is not None:
@@ -323,19 +371,17 @@ def write_rows(out, rows: memoryview) -> None:
         _format_range(out.write, rows[lead:cuts[1]])
         for start, stop, proc in zip(cuts[1:], cuts[2:], procs):
             mark = out.tell()
-            if proc is None or not _copy_text(proc, out):
+            if proc is None or _receive(proc, out.write) is None:
                 out.seek(mark)
                 out.truncate()
                 _format_range(out.write, rows[start:stop])
     finally:
-        for proc in filter(None, procs):
-            with proc:  # closes its pipes (stdin holds no unsent rows) and reaps it
-                proc.kill()  # does nothing to a worker already reaped
+        _reap(procs)
 
 
 def _feed(pipe, rows: memoryview) -> None:
     """Write the raw float64 of ``rows`` to ``pipe`` a block at a time and
-    close it.  A worker that stops reading fails its output check later."""
+    close it.  A worker that stops reading fails its reply check later."""
     step = max(1, _READ // 8 // rows.shape[1])
     try:
         with pipe:
@@ -345,39 +391,17 @@ def _feed(pipe, rows: memoryview) -> None:
         pass
 
 
-def _copy_text(proc, out) -> bool:
-    """Copy one worker's text to ``out``; whether it sent as many bytes as
-    it announced and then exited with status 0."""
-    import subprocess
-
-    try:
-        left = int(proc.stdout.readline(32))
-        while left > 0:
-            chunk = proc.stdout.read(min(left, _READ))
-            if not chunk:
-                return False
-            out.write(chunk)
-            left -= len(chunk)
-        return not proc.stdout.read(1) and proc.wait(timeout=_EXIT_WAIT_S) == 0
-    except (ValueError, subprocess.SubprocessError):
-        return False
-
-
 def _format_worker(argv: list[str]) -> int:
-    """Read ``count × width`` raw float64 from stdin, format them, and then
-    write the text's byte count on a line and the text to stdout; exit
-    status 1, with nothing written, if stdin holds anything else."""
+    """Read ``count × width`` raw float64 from stdin, format them, and send
+    the text with the reply line ``nbytes``; exit status 1, with nothing
+    sent, if stdin holds anything else."""
     count, width = map(int, argv)
     data = sys.stdin.buffer.read(8 * count * width)
     if len(data) != 8 * count * width or sys.stdin.buffer.read(1):
         return 1
     chunks = []
     _format_range(chunks.append, memoryview(data).cast("d", (count, width)))
-    out = sys.stdout.buffer
-    out.write(b"%d\n" % sum(map(len, chunks)))
-    out.writelines(chunks)
-    out.flush()
-    return 0
+    return _send(chunks)
 
 
 if __name__ == "__main__":

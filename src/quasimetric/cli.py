@@ -164,6 +164,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    if args.symmetrize != "none" and args.constant == "directional":
+        raise ValueError("--symmetrize does not apply to --constant directional")
+    if args.direction is not None and args.constant != "directional":
+        raise ValueError(f"--direction does not apply to --constant {args.constant}")
     qm = _load_space(args)
     # A point at nonzero distance from itself can lie in no half-radius ball,
     # so the sweep cannot cover its balls: reject the input up front.

@@ -15,7 +15,6 @@ finite.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -312,33 +311,6 @@ def _entry_violations(d: np.ndarray, report: ValidationReport,
              lambda i, j: (i, j, float(d[i, j]), float(d[j, i])))
 
 
-def _in_threads(work: Callable, parts: list) -> None:
-    """Call ``work`` on each of ``parts``: the first in this thread, each
-    other on a thread of its own (numpy's loops release the GIL).  Once all
-    have returned, the first error raised in another thread is raised here.
-    """
-    errors = []
-
-    def guarded(part) -> None:
-        try:
-            work(part)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    started = []
-    try:
-        for part in parts[1:]:
-            thread = threading.Thread(target=guarded, args=(part,))
-            thread.start()
-            started.append(thread)
-        work(parts[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _triangle_scan(d: np.ndarray, report: ValidationReport,
                    exempt_infinite_lhs: bool = False) -> None:
     """Count into ``report`` every triple with ``d[i, j] > (d[i, k] + d[k, j])
@@ -349,8 +321,8 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
     ``exempt_infinite_lhs`` neither is an infinite left-hand side.
 
     One min-plus pass finds the pairs ``(i, j)`` violated at the smallest
-    right-hand side.  It takes the columns ``j`` a panel at a time, dealt in
-    turn to one thread per usable CPU, and the rows ``i`` a few at a time:
+    right-hand side.  It takes the columns ``j`` a panel at a time, dealt
+    over threads by ``_text.in_threads``, and the rows ``i`` a few at a time:
     one sum over all ``k`` of those rows and that panel, then its minimum
     over ``k``.  A symmetric ``d`` (as every symmetrization is) has a
     symmetric set of pairs, since ``fl(a + b) == fl(b + a)``, so each panel
@@ -384,9 +356,7 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
                     best = np.fmin.reduce(sums, axis=2)  # fmin skips a NaN sum
                     np.greater(d[r0:r1, c0:c1], best * scale, out=suspect[r0:r1, c0:c1])
 
-    starts = range(0, n, cols)
-    threads = min(_text._usable_cpus(), len(starts))
-    _in_threads(scan, [starts[t::threads] for t in range(threads)])
+    _text.in_threads(scan, range(0, n, cols))
     if half:
         suspect |= suspect.T
     with np.errstate(invalid="ignore"):

@@ -151,6 +151,19 @@ class TestDimension:
         rc, _, cap = run(["dimension", "--input", cycle8], capsys)
         assert rc == 2 and "--direction" in cap.err
 
+    def test_symmetrize_with_directional_is_usage_error(self, cycle8, capsys):
+        rc, doc, cap = run(["dimension", "--input", cycle8, "--constant", "directional",
+                            "--direction", "outer", "--symmetrize", "max"], capsys)
+        assert rc == 2 and doc is None
+        assert "--symmetrize does not apply to --constant directional" in cap.err
+
+    @pytest.mark.parametrize("constant", ["doubling", "density"])
+    def test_direction_with_other_constant_is_usage_error(self, cycle8, constant, capsys):
+        rc, doc, cap = run(["dimension", "--input", cycle8, "--constant", constant,
+                            "--direction", "inner", "--symmetrize", "max"], capsys)
+        assert rc == 2 and doc is None
+        assert f"--direction does not apply to --constant {constant}" in cap.err
+
     def test_doubling_needs_symmetry(self, tmp_path, cycle8, capsys):
         out = tmp_path / "b6.txt"
         run(["gen", "--kind", "backedge-line", "--n", "6", "--output", str(out)],

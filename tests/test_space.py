@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -400,6 +401,29 @@ class TestValidate:
             _triangle_scan(d.view(Trap), report)
         assert threading.active_count() == before
         assert (report.triangle_count, report.triangle_violations) == (0, [])
+
+    def test_in_threads_error_in_the_callers_share_joins_every_thread(self, monkeypatch):
+        """An error the caller's share raises while another share runs
+        reaches the caller only after that share has finished."""
+        class Stop(BaseException):
+            pass
+
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+        running, finished = threading.Event(), []
+
+        def work(share):
+            if list(share) == [0, 2]:  # the caller's share
+                assert running.wait(timeout=30)
+                raise Stop
+            running.set()
+            time.sleep(0.2)
+            finished.append(list(share))
+
+        before = threading.active_count()
+        with pytest.raises(Stop):
+            _text.in_threads(work, range(4))
+        assert finished == [[1, 3]]
+        assert threading.active_count() == before
 
     @given(data=st.data(), n=st.integers(min_value=1, max_value=10),
            relaxed=st.booleans(), closed=st.booleans(),
@@ -1057,6 +1081,45 @@ class TestParallelParse:
         assert got.tobytes() == whole_text_matrix(text).tobytes()
 
 
+    WRAPPERS = {
+        "cut-short": '"{python}" "$@" | head -c 20',
+        # announces more bytes than it sends
+        "long-announce": "echo 99999999 1\nhead -c 800 /dev/zero",
+        "bare-zero": "echo 0",
+    }
+
+    @pytest.mark.parametrize("worker", WRAPPERS)
+    def test_short_or_garbled_replies_fall_back(self, tmp_path, split, monkeypatch, worker):
+        """Every worker's reply is short or has no line count: the serial
+        parser reads the file."""
+        executable = tmp_path / worker
+        script = self.WRAPPERS[worker].format(python=sys.executable)
+        executable.write_text(f"#!/bin/sh\n{script}\n")
+        executable.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(executable))
+        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
+        assert split == [False]
+
+    def test_uncaught_error_in_the_first_range_reaps_the_workers(self, tmp_path, split,
+                                                                 monkeypatch, started):
+        class Stop(BaseException):
+            pass
+
+        workers = []
+
+        def stop(*args):
+            workers.append(len(started))
+            raise Stop
+
+        monkeypatch.setattr(_text, "parse_range", stop)
+        path = tmp_path / "m.txt"
+        path.write_text("5\n" + "".join(f"{row}\n" for row in ROWS5))
+        with open(path, encoding="utf-8") as fh, pytest.raises(Stop):
+            parse_matrix_text(fh)
+        assert workers == [3]
+        assert_no_child_left()
+
+
 def per_value_text(matrix, header=()) -> bytes:
     """A matrix file as the per-entry :func:`format_value` writer gives it."""
     lines = [f"# {line}" for line in header] + [str(len(matrix))]
@@ -1181,6 +1244,24 @@ class TestParallelWrite:
         assert len(started) == 1
         assert peak < 0.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
         assert path.read_bytes() == per_value_text(matrix)
+
+
+    def test_uncaught_error_while_feeding_reaps_the_workers(self, tmp_path, monkeypatch,
+                                                            started):
+        class Stop(BaseException):
+            pass
+
+        def stop(pipe, rows):
+            raise Stop
+
+        monkeypatch.setattr(_text, "_feed", stop)
+        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
+        monkeypatch.setattr(_text, "FORMAT_LEAD", 0)
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+        with pytest.raises(Stop):
+            save_matrix(tmp_path / "m.txt", np.zeros((8, 8)))
+        assert len(started) == 3
+        assert_no_child_left()
 
 
 class TestWriterInputChecks:
