@@ -180,14 +180,15 @@ _KIND_TABLE = {
 
 
 def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
-                     mode: str = "consistent", eps: Optional[float] = None,
+                     eps: Optional[float] = None,
                      lambda_hat: Optional[float] = None) -> CompressedClassifier:
     """Build all four candidate rules and keep the smallest surviving one.
 
     ``algorithm`` picks the cover construction (greedy, iterated, or
-    arbitrary); ``mode`` is ``consistent`` (cover everything) or ``eps``
-    (allow an eps fraction of the cover's class to stay uncovered, trading
-    training error for size).  ``lambda_hat`` feeds the iterated schedule
+    arbitrary).  Without ``eps`` every point is covered (the rule's ``mode``
+    is ``consistent``); with it, an eps fraction of the cover's class may
+    stay uncovered, trading training error for size (mode ``eps``, greedy
+    covers only).  ``lambda_hat`` feeds the iterated schedule
     and is an error with any other algorithm; when omitted it is estimated
     from each class with the greedy method.
 
@@ -199,15 +200,11 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     _require_strict(qm, "build_classifier")
     if algorithm not in ("greedy", "iterated", "arbitrary"):
         raise ValueError(f"unknown cover algorithm {algorithm!r}")
-    if mode not in ("consistent", "eps"):
-        raise ValueError(f"mode must be 'consistent' or 'eps', got {mode!r}")
-    if mode == "eps":
+    if eps is not None:
         if algorithm != "greedy":
             raise ValueError(f"{algorithm} covers do not support eps mode")
-        if eps is None or not (0 < eps < 1):
+        if not (0 < eps < 1):
             raise ValueError("eps mode needs 0 < eps < 1")
-    elif eps is not None:
-        raise ValueError("eps only applies in eps mode")
     if lambda_hat is not None and algorithm != "iterated":
         raise ValueError(f"lambda_hat only applies to iterated covers, not {algorithm}")
 
@@ -219,10 +216,10 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     for order, (kind, (class_key, direction, margin_name)) in enumerate(_KIND_TABLE.items()):
         own = classes[class_key]
         radius = getattr(m, margin_name)
-        if algorithm == "greedy" and mode == "consistent":
-            cov = _cover.greedy_cover(qm, own, own, radius, direction)
-        elif algorithm == "greedy":
+        if eps is not None:
             cov = _cover.greedy_cover_eps(qm, own, own, radius, direction, eps)
+        elif algorithm == "greedy":
+            cov = _cover.greedy_cover(qm, own, own, radius, direction)
         elif algorithm == "iterated":
             lam = lambda_hat
             if lam is None:  # each kind has its own (class, direction) pair
@@ -261,7 +258,8 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
             "no candidate rule separates the classes with a positive gap")
     survivors.sort(key=lambda t: (t[0], t[1]))
     _, _, chosen = survivors[0]
-    return CompressedClassifier(**chosen, margins=m, algorithm=algorithm, mode=mode,
+    return CompressedClassifier(**chosen, margins=m, algorithm=algorithm,
+                                mode="consistent" if eps is None else "eps",
                                 n=qm.n, eps=eps, candidates=summaries, space=qm)
 
 

@@ -10,6 +10,7 @@ check or construction that ran and said no), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -112,13 +113,16 @@ def _sniff_format(path: str) -> str:
 
 
 def _load_space(args) -> QuasiMetric:
-    fmt = args.format
-    if fmt == "auto":
-        fmt = _sniff_format(args.input)
-    mode = Mode(args.mode)
-    if fmt == "matrix":
-        return load_matrix(args.input, mode=mode)
-    return load_edge_list(args.input, mode=mode)
+    load = load_matrix if _sniff_format(args.input) == "matrix" else load_edge_list
+    return load(args.input, mode=Mode(args.mode))
+
+
+def _reject_unread(args, options: list[str], read, what: str) -> None:
+    """Raise for the first of ``options`` (argparse dests) given a value
+    although it is not in ``read``, the options ``what`` reads."""
+    for dest in options:
+        if getattr(args, dest) is not None and dest not in read:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to {what}")
 
 
 def _ids_arg(raw: Optional[str], n: int) -> list[int]:
@@ -202,6 +206,8 @@ def cmd_cover(args) -> int:
         raise ValueError(f"--eps applies only to --algo greedy, not {args.algo}")
     if args.lambda_hat is not None and args.algo != "iterated":
         raise ValueError(f"--lambda-hat applies only to --algo iterated, not {args.algo}")
+    if args.seed is not None and args.algo != "arbitrary":
+        raise ValueError(f"--seed applies only to --algo arbitrary, not {args.algo}")
     qm = _load_space(args)
     direction = Direction(args.direction)
     target = _ids_arg(args.target, qm.n)
@@ -213,7 +219,7 @@ def cmd_cover(args) -> int:
         result = _cover.greedy_cover(qm, target, candidates, args.alpha, direction)
     elif args.algo == "arbitrary":
         result = _cover.arbitrary_cover(qm, target, candidates, args.alpha,
-                                        direction, order=args.order, seed=args.seed)
+                                        direction, seed=args.seed)
     else:
         lam = args.lambda_hat
         if lam is None:
@@ -243,8 +249,8 @@ def cmd_train(args) -> int:
     qm = _load_space(args)
     labels = _classifier.load_labels(args.labels)
     sample = _classifier.make_sample(qm, labels)
-    clf = _classifier.build_classifier(sample, algorithm=args.algo, mode=args.train_mode,
-                                       eps=args.eps, lambda_hat=args.lambda_hat)
+    clf = _classifier.build_classifier(sample, algorithm=args.algo, eps=args.eps,
+                                       lambda_hat=args.lambda_hat)
     doc = {"classifier": clf.to_dict()}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -334,12 +340,10 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
 
 
 def cmd_bound(args) -> int:
-    if args.regime == "consistent":
+    if args.eps is None:
         rep = _classifier.bound_consistent(args.n, args.k, args.delta,
                                            log_base=args.log_base)
     else:
-        if args.eps is None:
-            raise ValueError("--eps is required for the agnostic regime")
         rep = _classifier.bound_agnostic(args.n, args.k, args.delta, args.eps,
                                          log_base=args.log_base)
     emit("bound", {"report": rep.to_dict()})
@@ -374,18 +378,16 @@ def cmd_transform(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    kind = args.kind
-    if kind in ("line", "backedge-line", "cycle"):
-        fixture = _fixtures.GENERATORS[kind](args.n)
-    elif kind in ("hst-toward-root", "spoke-subset"):
-        fixture = _fixtures.GENERATORS[kind](args.p, args.branching)
-    elif kind == "nn-lower-bound":
-        fixture = _fixtures.gen_nn_lower_bound(args.p)
-    elif kind == "min-violation":
-        fixture = _fixtures.gen_min_violation()
-    else:
-        fixture = _fixtures.gen_random_bounded(args.n, args.seed,
-                                               target_constant=args.target_constant)
+    kind, make = args.kind, _fixtures.GENERATORS[args.kind]
+    # Each option names a generator parameter: one the kind's generator lacks
+    # is rejected.  n, p and seed have no default there; the rest keep theirs.
+    params = inspect.signature(make).parameters
+    _reject_unread(args, ["n", "p", "branching", "seed", "target_constant"], params,
+                   f"--kind {kind}")
+    kwargs = {name: value for name, value in [("n", 8), ("p", 3), ("seed", 0)] if name in params}
+    kwargs.update((name, getattr(args, name)) for name in params
+                  if getattr(args, name) is not None)
+    fixture = make(**kwargs)
     payload = {"fixture": fixture.to_dict()}
     if args.out_format == "edges":
         if fixture.edges is None:
@@ -416,10 +418,9 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     scan = args.fixture == "nn-lower-bound"
-    for option, value in [("--p", args.p), ("--sizes", args.sizes), ("--algo", args.algo),
-                          ("--lambda-hat", args.lambda_hat), ("--seed", args.seed)]:
-        if value is not None and (option == "--p") != scan:
-            raise ValueError(f"{option} does not apply to --fixture {args.fixture}")
+    cover_options = ["sizes", "algo", "lambda_hat", "seed"]
+    _reject_unread(args, ["p", *cover_options], ["p"] if scan else cover_options,
+                   f"--fixture {args.fixture}")
     algo = args.algo or "greedy"
     if args.lambda_hat is not None and algo != "iterated":
         raise ValueError(f"--lambda-hat applies only to --algo iterated, not {algo}")
@@ -477,7 +478,6 @@ def cmd_bench(args) -> int:
 
 def _add_space_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="space file (matrix or edge list)")
-    p.add_argument("--format", choices=["auto", "matrix", "edges"], default="auto")
     p.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
 
 
@@ -520,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="comma-separated ids (default all)")
     p.add_argument("--candidates", default=None,
                    help="comma-separated ids (default all)")
-    p.add_argument("--order", choices=["ascending", "shuffled"], default="ascending",
-                   help="candidate order for the arbitrary baseline")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="scan the candidates shuffled by this seed (arbitrary only)")
     p.add_argument("--compare", action="store_true",
                    help="also compute the exact optimum (small targets only)")
     p.set_defaults(func=cmd_cover)
@@ -532,9 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="labels file (lines: id +1/-1)")
     p.add_argument("--algo", choices=["greedy", "iterated", "arbitrary"],
                    default="greedy")
-    p.add_argument("--train-mode", choices=["consistent", "eps"],
-                   default="consistent")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None,
+                   help="allow this fraction of the cover's class uncovered (greedy only)")
     p.add_argument("--lambda-hat", type=float, default=None, help="(iterated only)")
     p.add_argument("--output", default=None, help="write classifier JSON here")
     p.set_defaults(func=cmd_train)
@@ -542,18 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label points or query vectors")
     p.add_argument("--classifier", required=True)
     p.add_argument("--input", default=None, help="training space file")
-    p.add_argument("--format", choices=["auto", "matrix", "edges"], default="auto")
     p.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
     p.add_argument("--ids", default=None, help="comma-separated ids (default all)")
     p.add_argument("--queries", default=None, help="query-vector file")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bound", help="generalization bound for a compressed rule")
-    p.add_argument("--regime", choices=["consistent", "agnostic"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None,
+                   help="training error allowed (agnostic bound; default consistent)")
     p.add_argument("--log-base", choices=["e", "2"], default="e")
     p.set_defaults(func=cmd_bound)
 
@@ -566,12 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a structured fixture")
     p.add_argument("--kind", choices=sorted(_fixtures.GENERATORS), required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--branching", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-constant", type=int,
-                   default=_fixtures.DEFAULT_TARGET_CONSTANT)
+    # Each kind reads the options its generator has parameters for.
+    p.add_argument("--n", type=int, default=None, help="(default 8)")
+    p.add_argument("--p", type=int, default=None, help="(default 3)")
+    p.add_argument("--branching", type=int, default=None, help="(default 2)")
+    p.add_argument("--seed", type=int, default=None, help="(default 0)")
+    p.add_argument("--target-constant", type=int, default=None,
+                   help=f"(default {_fixtures.DEFAULT_TARGET_CONSTANT})")
     p.add_argument("--out-format", choices=["matrix", "edges"], default="matrix")
     p.add_argument("--output", default=None, help="write the space file here")
     p.add_argument("--spec-out", default=None, help="write the fixture spec JSON here")

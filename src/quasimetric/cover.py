@@ -224,22 +224,19 @@ def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterabl
 
 
 def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                    alpha: float, direction: Direction,
-                    order: str = "ascending", seed: Optional[int] = None) -> Cover:
+                    alpha: float, direction: Direction, seed: Optional[int] = None) -> Cover:
     """Baseline cover: scan candidates in a fixed order, keep any that helps.
 
     No size guarantee at all; useful as the thing the greedy rule beats.
-    ``order`` is ``ascending`` (by id) or ``shuffled`` (seeded).
+    The order is ascending by id, or with a ``seed`` the permutation
+    ``np.random.default_rng(seed)`` draws.
     """
     direction = Direction(direction)
     _check_alpha(alpha)
     tgt = _clean_ids(qm.n, target, "target").tolist()
     cand = _clean_ids(qm.n, candidates, "candidate").tolist()
-    if order == "shuffled":
-        rng = np.random.default_rng(seed)
-        cand = [cand[i] for i in rng.permutation(len(cand))]
-    elif order != "ascending":
-        raise ValueError(f"unknown order {order!r}")
+    if seed is not None:
+        cand = [cand[i] for i in np.random.default_rng(seed).permutation(len(cand))]
 
     table = _coverage_matrix(qm, cand, tgt, alpha, direction)
     # Scanning in order keeps a candidate exactly when it is the first to

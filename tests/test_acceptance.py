@@ -54,8 +54,7 @@ def test_c02_greedy_beats_arbitrary_on_the_line():
     t0 = time.perf_counter()
     fx = gen_line(8)
     everyone = range(8)
-    arb = arbitrary_cover(fx.space, everyone, everyone, 1.0, Direction.INNER,
-                          order="ascending")
+    arb = arbitrary_cover(fx.space, everyone, everyone, 1.0, Direction.INNER)
     greedy = greedy_cover(fx.space, everyone, everyone, 1.0, Direction.INNER)
     opt, _ = brute_min_cover(fx.space, everyone, everyone, 1.0, Direction.INNER)
     ok = arb.size == 8 and greedy.size == 4 and opt == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasimetric import (CompressedClassifier, DegenerateCandidatesError, Direction,
                          InseparableSampleError, QueryVectors, bound_agnostic,
                          bound_consistent, build_classifier, build_from_matrix,
-                         make_sample, margins, predict)
+                         gen_random_bounded, make_sample, margins, predict)
 from quasimetric.classifier import parse_labels_text
 
 from conftest import random_quasimetric
@@ -125,7 +125,7 @@ class TestBuildClassifier:
             sample = make_sample(qm, labels)
             for eps in (0.2, 0.4):
                 try:
-                    clf = build_classifier(sample, mode="eps", eps=eps)
+                    clf = build_classifier(sample, eps=eps)
                 except DegenerateCandidatesError:
                     continue
                 built += 1
@@ -138,7 +138,7 @@ class TestBuildClassifier:
         sample = clustered_noisy_sample()
         with pytest.raises(DegenerateCandidatesError):
             build_classifier(sample)
-        clf = build_classifier(sample, mode="eps", eps=0.1)
+        clf = build_classifier(sample, eps=0.1)
         assert clf.k == 1
         assert clf.kind == "pos-outer"
         assert clf.training_error == pytest.approx(1 / 20)
@@ -169,10 +169,10 @@ class TestBuildClassifier:
 
     def test_mode_validation(self):
         sample = four_point_sample()
+        assert build_classifier(sample).mode == "consistent"
+        assert build_classifier(sample, eps=0.1).mode == "eps"
         with pytest.raises(ValueError, match="eps"):
-            build_classifier(sample, mode="eps")
-        with pytest.raises(ValueError, match="eps"):
-            build_classifier(sample, eps=0.1)
+            build_classifier(sample, eps=0.0)
         with pytest.raises(ValueError, match="algorithm"):
             build_classifier(sample, algorithm="magic")
 
@@ -183,13 +183,21 @@ class TestBuildClassifier:
                                   {0: 1, 1: -1, 2: -1})
         for sample in (four_point_sample(), inseparable):
             with pytest.raises(ValueError, match=f"{algorithm} covers do not support eps"):
-                build_classifier(sample, algorithm=algorithm, mode="eps", eps=0.1)
+                build_classifier(sample, algorithm=algorithm, eps=0.1)
 
     @pytest.mark.parametrize("algorithm", ["greedy", "arbitrary"])
     def test_lambda_hat_only_for_iterated(self, algorithm):
         with pytest.raises(ValueError, match=f"lambda_hat only applies to iterated "
                                              f"covers, not {algorithm}"):
             build_classifier(four_point_sample(), algorithm=algorithm, lambda_hat=2.0)
+
+    @pytest.mark.xfail(strict=True, raises=DegenerateCandidatesError,
+                       reason="integer weights tie own- and opposite-class points at the "
+                              "margin, closing every gap (ROADMAP item 6)")
+    def test_integer_margin_ties_still_build_a_rule(self):
+        qm = gen_random_bounded(500, 7).space
+        sample = make_sample(qm, {i: 1 if i // 50 % 2 == 0 else -1 for i in range(qm.n)})
+        assert build_classifier(sample).training_error == 0
 
     def test_relaxed_space_rejected(self):
         from quasimetric import gen_line

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import quasimetric
 from quasimetric import (bound_consistent, density_constant, gen_random_bounded,
                          save_labels, save_matrix, to_max_metric)
-from quasimetric.cli import _document, main
+from quasimetric.cli import _document, build_parser, main
 
 from conftest import brute_document
 
@@ -131,6 +133,22 @@ class TestGenRoundTrips:
         assert doc["fixture"]["params"]["checked"] is True
         names = {e["name"] for e in doc["fixture"]["expected"]}
         assert {"outer_constant", "inner_constant"} <= names
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--kind", "cycle", "--n", "6", "--seed", "5"], "--seed"),
+        (["--kind", "cycle", "--p", "9"], "--p"),
+        (["--kind", "line", "--branching", "4"], "--branching"),
+        (["--kind", "backedge-line", "--target-constant", "3"], "--target-constant"),
+        (["--kind", "min-violation", "--n", "50"], "--n"),
+        (["--kind", "nn-lower-bound", "--branching", "3"], "--branching"),
+        (["--kind", "spoke-subset", "--n", "4"], "--n"),
+        (["--kind", "random-bounded", "--p", "2"], "--p"),
+    ], ids=["cycle-seed", "cycle-p", "line-branching", "backedge-target-constant",
+            "min-violation-n", "nn-branching", "spoke-n", "random-p"])
+    def test_unread_option_is_usage_error(self, argv, option, capsys):
+        rc, doc, cap = run(["gen", *argv], capsys)
+        assert rc == 2 and doc is None
+        assert f"{option} does not apply to --kind {argv[1]}" in cap.err
 
 
 class TestDimension:
@@ -274,11 +292,17 @@ class TestCover:
 
     def test_shuffled_arbitrary_is_seeded(self, cycle8, capsys):
         argv = ["cover", "--input", cycle8, "--alpha", "2", "--direction",
-                "inner", "--algo", "arbitrary", "--order", "shuffled",
-                "--seed", "5"]
+                "inner", "--algo", "arbitrary", "--seed", "5"]
         _, doc_a, _ = run(argv, capsys)
         _, doc_b, _ = run(argv, capsys)
         assert doc_a["cover"]["cover_ids"] == doc_b["cover"]["cover_ids"]
+
+    @pytest.mark.parametrize("algo", ["greedy", "iterated"])
+    def test_seed_with_other_algorithm_is_usage_error(self, cycle8, algo, capsys):
+        rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2", "--direction",
+                            "inner", "--algo", algo, "--seed", "5"], capsys)
+        assert rc == 2 and doc is None
+        assert f"--seed applies only to --algo arbitrary, not {algo}" in cap.err
 
 
 class TestTrainPredict:
@@ -339,7 +363,7 @@ class TestTrainPredict:
         assert rc == 2 and cap.out == "" and "query count" in cap.err and "-1" in cap.err
         edges = tmp_path / "edges.txt"
         edges.write_text("3 -1\n")
-        rc, _, cap = run(["validate", "--input", str(edges), "--format", "edges"], capsys)
+        rc, _, cap = run(["validate", "--input", str(edges)], capsys)
         assert rc == 2 and cap.out == "" and "edge count" in cap.err and "-1" in cap.err
 
     def test_predict_size_mismatch(self, four_point, tmp_path, cycle8, capsys):
@@ -423,7 +447,7 @@ class TestTrainPredict:
     def test_nan_eps_in_eps_mode_is_usage_error(self, four_point, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc, doc, cap = run(["train", "--input", four_point, "--labels", labels,
-                            "--train-mode", "eps", "--eps", "nan"], capsys)
+                            "--eps", "nan"], capsys)
         assert rc == 2 and doc is None and "eps" in cap.err
 
     def test_inseparable_sample_exits_one(self, tmp_path, capsys):
@@ -445,7 +469,7 @@ class TestTrainPredict:
         labels = tmp_path / "labels.txt"
         labels.write_text("0 +1\n1 -1\n2 -1\n")
         rc, doc, cap = run(["train", "--input", str(space), "--labels", str(labels),
-                            "--algo", algo, "--train-mode", "eps", "--eps", "0.1"], capsys)
+                            "--algo", algo, "--eps", "0.1"], capsys)
         assert rc == 2 and doc is None
         assert f"{algo} covers do not support eps mode" in cap.err
 
@@ -461,36 +485,33 @@ class TestTrainPredict:
     def test_eps_mode_flag(self, four_point, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc, doc, _ = run(["train", "--input", four_point, "--labels", labels,
-                          "--train-mode", "eps", "--eps", "0.25"], capsys)
+                          "--eps", "0.25"], capsys)
         assert rc == 0 and doc["classifier"]["k"] == 1
 
 
 class TestBound:
     def test_reference_value_at_twelve_digits(self, capsys):
-        rc, doc, _ = run(["bound", "--regime", "consistent", "--n", "100",
-                          "--k", "5", "--delta", "0.05"], capsys)
+        rc, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05"], capsys)
         assert rc == 0
         assert doc["report"]["value"] == 0.322386877784
         assert doc["report"]["vacuous"] is False
 
-    def test_agnostic_requires_eps(self, capsys):
-        rc, _, cap = run(["bound", "--regime", "agnostic", "--n", "100",
-                          "--k", "5", "--delta", "0.05"], capsys)
-        assert rc == 2 and "--eps" in cap.err
-        rc, doc, _ = run(["bound", "--regime", "agnostic", "--n", "100",
-                          "--k", "5", "--delta", "0.05", "--eps", "0.1"], capsys)
-        assert rc == 0 and doc["report"]["eps_tilde"] > 0.1
+    def test_eps_picks_the_agnostic_regime(self, capsys):
+        rc, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05"], capsys)
+        assert rc == 0 and doc["report"]["regime"] == "consistent"
+        rc, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05",
+                          "--eps", "0.1"], capsys)
+        assert rc == 0 and doc["report"]["regime"] == "agnostic"
+        assert doc["report"]["eps_tilde"] > 0.1
 
     def test_log_base_two(self, capsys):
-        rc, doc, _ = run(["bound", "--regime", "consistent", "--n", "100",
-                          "--k", "5", "--delta", "0.05", "--log-base", "2"],
-                         capsys)
+        rc, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05",
+                          "--log-base", "2"], capsys)
         expected = float(f"{bound_consistent(100, 5, 0.05).value / math.log(2):.12g}")
         assert rc == 0 and doc["report"]["value"] == expected
 
     def test_bad_domain(self, capsys):
-        rc, _, cap = run(["bound", "--regime", "consistent", "--n", "5",
-                          "--k", "5", "--delta", "0.05"], capsys)
+        rc, _, cap = run(["bound", "--n", "5", "--k", "5", "--delta", "0.05"], capsys)
         assert rc == 2 and "error:" in cap.err
 
 
@@ -570,10 +591,10 @@ class TestKeyOrder:
                   "margins", "training_error", "algorithm", "mode", "eps", "candidates"]
     FIXTURE = ["kind", "params", "expected", "mode", "n", "extras"]
 
-    @pytest.mark.parametrize("regime", [["consistent"], ["agnostic", "--eps", "0.1"]])
+    @pytest.mark.parametrize("regime", [[], ["--eps", "0.1"]])
     def test_bound(self, regime, capsys):
         _, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05",
-                         "--regime", *regime], capsys)
+                         *regime], capsys)
         assert list(doc) == ["schema", "command", "report"]
         assert list(doc["report"]) == ["regime", "n", "k", "delta", "eps", "eps_tilde",
                                        "value", "display", "vacuous", "log_base"]
@@ -680,8 +701,7 @@ class TestDocumentWriter:
             (["validate", "--input", str(broken)], 1),
             (["cover", "--input", cycle8, "--alpha", "2", "--direction", "inner",
               "--compare"], 0),
-            (["bound", "--regime", "agnostic", "--n", "100", "--k", "5", "--delta", "0.05",
-              "--eps", "0.1"], 0),
+            (["bound", "--n", "100", "--k", "5", "--delta", "0.05", "--eps", "0.1"], 0),
             (["gen", "--kind", "line", "--n", "5", "--spec-out", str(spec)], 0),
         ]
         for argv, code in commands:
@@ -693,6 +713,22 @@ class TestDocumentWriter:
 
 
 class TestHarness:
+    def test_readme_commands_parse(self):
+        """Every ``quasimetric …`` line of the README's sh blocks, with its
+        backslash continuations joined, is a valid command line."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in "\n".join(blocks).replace("\\\n", " ").splitlines()
+                    if line.startswith("quasimetric ")]
+        assert len(commands) >= 12
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: quasimetric {shlex.join(argv)}")
+
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

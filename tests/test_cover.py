@@ -122,8 +122,7 @@ class TestGreedyCover:
                 lambda s, d: greedy_cover(s, pts, pts, alpha, d),
                 lambda s, d: greedy_cover_eps(s, pts, pts, alpha, d, 0.3),
                 lambda s, d: arbitrary_cover(s, pts, pts, alpha, d),
-                lambda s, d: arbitrary_cover(s, pts, pts, alpha, d,
-                                             order="shuffled", seed=3),
+                lambda s, d: arbitrary_cover(s, pts, pts, alpha, d, seed=3),
                 lambda s, d: iterated_cover(s, pts, pts, alpha, d, 2.0),
                 # at the diameter the schedule runs, so the final reassignment does
                 lambda s, d: iterated_cover(s, pts, pts, diameter(s), d, 2.0),
@@ -238,10 +237,8 @@ class TestArbitraryCover:
 
     def test_shuffled_is_seed_deterministic(self):
         qm = gen_cycle(9).space
-        a = arbitrary_cover(qm, range(9), range(9), 2.0, Direction.OUTER,
-                            order="shuffled", seed=5)
-        b = arbitrary_cover(qm, range(9), range(9), 2.0, Direction.OUTER,
-                            order="shuffled", seed=5)
+        a = arbitrary_cover(qm, range(9), range(9), 2.0, Direction.OUTER, seed=5)
+        b = arbitrary_cover(qm, range(9), range(9), 2.0, Direction.OUTER, seed=5)
         assert a.cover_ids == b.cover_ids
 
     def test_never_beats_feasibility(self, rng):
@@ -256,11 +253,10 @@ class TestArbitraryCover:
     def test_matches_scan_oracle(self, instance, direction, seed):
         qm, target, candidates, alpha = instance
         scan = candidates
-        if seed is not None:  # the shuffled order scans a seeded permutation
+        if seed is not None:  # a seed scans a seeded permutation
             scan = [candidates[i] for i in np.random.default_rng(seed).permutation(
                 len(candidates))]
-        cov = arbitrary_cover(qm, target, candidates, alpha, direction,
-                              order="ascending" if seed is None else "shuffled", seed=seed)
+        cov = arbitrary_cover(qm, target, candidates, alpha, direction, seed=seed)
         picks, assignment, uncovered, iterations = brute_arbitrary_cover(
             qm, target, scan, alpha, direction)
         assert cov.cover_ids == picks

@@ -59,7 +59,7 @@ class TestLine:
         greedy = greedy_cover(fx.space, everyone, everyone, alpha=1.0,
                               direction=Direction.INNER)
         arb = arbitrary_cover(fx.space, everyone, everyone, alpha=1.0,
-                              direction=Direction.INNER, order="ascending")
+                              direction=Direction.INNER)
         assert greedy.size == fx.spec.expected_value("greedy_inner_cover_alpha1") == 4
         assert arb.size == fx.spec.expected_value("arbitrary_inner_cover_alpha1") == 8
 
