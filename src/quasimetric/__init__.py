@@ -9,12 +9,11 @@ from .space import (DEFAULT_TOLERANCE, Direction, Mode, NearestResult, QuasiMetr
 from .dimension import (ConstantEstimate, density_constant, directional_constant,
                         doubling_constant, log_iter, log_star)
 from .cover import (Cover, CoverageError, CoverStats, arbitrary_cover,
-                    exact_min_cover, greedy_cover, greedy_cover_eps,
-                    iterated_cover, verify_cover)
+                    exact_min_cover, greedy_cover, iterated_cover, verify_cover)
 from .classifier import (BoundReport, CompressedClassifier, DegenerateCandidatesError,
-                         InseparableSampleError, LabeledSample, Margins,
-                         bound_agnostic, bound_consistent, build_classifier,
-                         load_labels, make_sample, margins, predict, save_labels)
+                         InseparableSampleError, LabeledSample, Margins, bound,
+                         build_classifier, load_labels, make_sample, margins, predict,
+                         save_labels)
 from .transforms import (SymmetricKind, SymmetricSpace, check_symmetric_axioms,
                          to_max_metric, to_min_semimetric, to_sum_metric)
 from .fixtures import (Fixture, FixtureSpec, gen_backedge_line, gen_cycle,

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import _text
 from . import cover as _cover
-from .dimension import directional_constant
 from .space import (Direction, QuasiMetric, Record, _candidate_reads, _clean_ids,
-                    _nearest_centers, _require_strict, set_distance, subspace)
+                    _nearest_centers, _require_strict, set_distance)
 
 
 class InseparableSampleError(ValueError):
@@ -64,10 +63,6 @@ class LabeledSample:
         if self.pos & self.neg:
             raise ValueError(f"ids labeled twice: {sorted(self.pos & self.neg)}")
         _clean_ids(self.space.n, self.pos | self.neg, "labeled")
-
-    @property
-    def ids(self) -> list[int]:
-        return sorted(self.pos | self.neg)
 
     @property
     def size(self) -> int:
@@ -188,9 +183,9 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     arbitrary).  Without ``eps`` every point is covered (the rule's ``mode``
     is ``consistent``); with it, an eps fraction of the cover's class may
     stay uncovered, trading training error for size (mode ``eps``, greedy
-    covers only).  ``lambda_hat`` feeds the iterated schedule
-    and is an error with any other algorithm; when omitted it is estimated
-    from each class with the greedy method.
+    covers only).  ``lambda_hat`` feeds the iterated schedule and is an
+    error with any other algorithm; when omitted, ``iterated_cover``
+    estimates it from each class.
 
     Candidates whose separation gap closes to zero are discarded; ties on
     size break in the fixed order pos-outer, neg-inner, pos-inner,
@@ -216,15 +211,10 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     for order, (kind, (class_key, direction, margin_name)) in enumerate(_KIND_TABLE.items()):
         own = classes[class_key]
         radius = getattr(m, margin_name)
-        if eps is not None:
-            cov = _cover.greedy_cover_eps(qm, own, own, radius, direction, eps)
-        elif algorithm == "greedy":
-            cov = _cover.greedy_cover(qm, own, own, radius, direction)
+        if algorithm == "greedy":
+            cov = _cover.greedy_cover(qm, own, own, radius, direction, eps)
         elif algorithm == "iterated":
-            lam = lambda_hat
-            if lam is None:  # each kind has its own (class, direction) pair
-                lam = max(2.0, float(directional_constant(subspace(qm, own), direction).value))
-            cov = _cover.iterated_cover(qm, own, own, radius, direction, lam)
+            cov = _cover.iterated_cover(qm, own, own, radius, direction, lambda_hat)
         else:
             cov = _cover.arbitrary_cover(qm, own, own, radius, direction)
 
@@ -310,63 +300,47 @@ class BoundReport(Record):
     log_base: str
 
 
-def _log_fn(log_base: str):
-    if log_base == "e":
-        return math.log
-    if log_base == "2":
-        return math.log2
-    raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
+def bound(n: int, k: int, delta: float, eps: Optional[float] = None, *,
+          log_base: str = "e") -> BoundReport:
+    """Error bound for a rule compressed to k of n sample points, holding
+    with probability at least 1 - delta over an i.i.d. sample of size n.
 
+    With L = (k + 1) * log n + log(1/delta), a zero-training-error rule
+    (no ``eps``; regime ``consistent``) errs with probability at most
+    L / (n - k).  When an eps fraction of training errors is allowed
+    (regime ``agnostic``, also for eps = 0), with eps_t = eps * n / (n - k):
 
-def _check_bound_args(n: int, k: int, delta: float) -> None:
+        eps_t + 2 * L / (3 * (n - k)) + sqrt(9 * eps_t * (1 - eps_t) * L / (2 * (n - k)))
+
+    which requires eps_t <= 1; beyond that the variance term is undefined.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if not (0 <= k < n):
         raise ValueError("k must satisfy 0 <= k < n")
     if not (0 < delta < 1):
         raise ValueError("delta must lie strictly between 0 and 1")
-
-
-def bound_consistent(n: int, k: int, delta: float,
-                     log_base: str = "e") -> BoundReport:
-    """Error bound for a zero-training-error rule compressed to k points.
-
-    ((k + 1) * log n + log(1/delta)) / (n - k), holding with probability
-    at least 1 - delta over an i.i.d. sample of size n.
-    """
-    _check_bound_args(n, k, delta)
-    log = _log_fn(log_base)
-    value = ((k + 1) * log(n) + log(1.0 / delta)) / (n - k)
-    return BoundReport(regime="consistent", n=n, k=k, delta=delta,
-                       value=value, display=min(value, 1.0),
-                       vacuous=value >= 1.0, log_base=log_base)
-
-
-def bound_agnostic(n: int, k: int, delta: float, eps: float,
-                   log_base: str = "e") -> BoundReport:
-    """Error bound when an eps fraction of training errors is allowed.
-
-    With eps_t = eps * n / (n - k) and L = (k + 1) * log n + log(1/delta):
-
-        eps_t + 2 * L / (3 * (n - k)) + sqrt(9 * eps_t * (1 - eps_t) * L / (2 * (n - k)))
-
-    Requires eps_t <= 1; beyond that the variance term is undefined.
-    """
-    _check_bound_args(n, k, delta)
-    if not (0 <= eps <= 1):
-        raise ValueError("eps must lie in [0, 1]")
-    eps_t = eps * n / (n - k)
-    if eps_t > 1.0:
-        raise ValueError(
-            f"scaled error eps * n / (n - k) = {eps_t} exceeds 1; "
-            "the bound is undefined in this regime")
-    log = _log_fn(log_base)
+    eps_t = None
+    if eps is not None:
+        if not (0 <= eps <= 1):
+            raise ValueError("eps must lie in [0, 1]")
+        eps_t = eps * n / (n - k)
+        if eps_t > 1.0:
+            raise ValueError(
+                f"scaled error eps * n / (n - k) = {eps_t} exceeds 1; "
+                "the bound is undefined in this regime")
+    log = {"e": math.log, "2": math.log2}.get(log_base)
+    if log is None:
+        raise ValueError(f"log_base must be 'e' or '2', got {log_base!r}")
     load = (k + 1) * log(n) + log(1.0 / delta)
-    value = (eps_t + 2.0 * load / (3.0 * (n - k))
-             + math.sqrt(9.0 * eps_t * (1.0 - eps_t) * load / (2.0 * (n - k))))
-    return BoundReport(regime="agnostic", n=n, k=k, delta=delta, eps=eps,
-                       eps_tilde=eps_t, value=value, display=min(value, 1.0),
-                       vacuous=value >= 1.0, log_base=log_base)
+    if eps_t is None:
+        value = load / (n - k)
+    else:
+        value = (eps_t + 2.0 * load / (3.0 * (n - k))
+                 + math.sqrt(9.0 * eps_t * (1.0 - eps_t) * load / (2.0 * (n - k))))
+    return BoundReport(regime="consistent" if eps is None else "agnostic", n=n, k=k,
+                       delta=delta, eps=eps, eps_tilde=eps_t, value=value,
+                       display=min(value, 1.0), vacuous=value >= 1.0, log_base=log_base)
 
 
 # ---------------------------------------------------------------------------

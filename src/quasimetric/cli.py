@@ -112,9 +112,9 @@ def _sniff_format(path: str) -> str:
     return "matrix" if len(first.split()) == 1 else "edges"
 
 
-def _load_space(args) -> QuasiMetric:
-    load = load_matrix if _sniff_format(args.input) == "matrix" else load_edge_list
-    return load(args.input, mode=Mode(args.mode))
+def _load_space(path: str, mode: str) -> QuasiMetric:
+    load = load_matrix if _sniff_format(path) == "matrix" else load_edge_list
+    return load(path, mode=Mode(mode))
 
 
 def _reject_unread(args, options: list[str], read, what: str) -> None:
@@ -151,7 +151,7 @@ def _symmetrize(qm: QuasiMetric, op: str) -> _transforms.SymmetricSpace:
 
 
 def cmd_validate(args) -> int:
-    qm = _load_space(args)
+    qm = _load_space(args.input, args.mode)
     report = validate(qm, tolerance=args.tolerance)
     emit("validate", {"n": qm.n, "mode": qm.mode.value, "report": report.to_dict()})
     shown = report.triangle_violations[:10]
@@ -172,7 +172,7 @@ def cmd_dimension(args) -> int:
         raise ValueError("--symmetrize does not apply to --constant directional")
     if args.direction is not None and args.constant != "directional":
         raise ValueError(f"--direction does not apply to --constant {args.constant}")
-    qm = _load_space(args)
+    qm = _load_space(args.input, args.mode)
     # A point at nonzero distance from itself can lie in no half-radius ball,
     # so the sweep cannot cover its balls: reject the input up front.
     off = np.flatnonzero(np.diagonal(qm.dist) != 0)
@@ -208,24 +208,19 @@ def cmd_cover(args) -> int:
         raise ValueError(f"--lambda-hat applies only to --algo iterated, not {args.algo}")
     if args.seed is not None and args.algo != "arbitrary":
         raise ValueError(f"--seed applies only to --algo arbitrary, not {args.algo}")
-    qm = _load_space(args)
+    qm = _load_space(args.input, args.mode)
     direction = Direction(args.direction)
     target = _ids_arg(args.target, qm.n)
     candidates = _ids_arg(args.candidates, qm.n)
-    if args.eps is not None:
-        result = _cover.greedy_cover_eps(qm, target, candidates, args.alpha,
-                                         direction, args.eps)
-    elif args.algo == "greedy":
-        result = _cover.greedy_cover(qm, target, candidates, args.alpha, direction)
+    if args.algo == "greedy":
+        result = _cover.greedy_cover(qm, target, candidates, args.alpha, direction,
+                                     args.eps)
     elif args.algo == "arbitrary":
         result = _cover.arbitrary_cover(qm, target, candidates, args.alpha,
                                         direction, seed=args.seed)
     else:
-        lam = args.lambda_hat
-        if lam is None:
-            lam = max(2.0, float(_dimension.directional_constant(qm, direction).value))
         result = _cover.iterated_cover(qm, target, candidates, args.alpha,
-                                       direction, lam)
+                                       direction, args.lambda_hat)
     ok, offenders = _cover.verify_cover(qm, result, target)
     payload = {"n": qm.n, "algo": args.algo, "cover": result.to_dict(),
                "verified": ok, "offenders": [list(o) for o in offenders]}
@@ -246,7 +241,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_train(args) -> int:
-    qm = _load_space(args)
+    qm = _load_space(args.input, args.mode)
     labels = _classifier.load_labels(args.labels)
     sample = _classifier.make_sample(qm, labels)
     clf = _classifier.build_classifier(sample, algorithm=args.algo, eps=args.eps,
@@ -290,7 +285,8 @@ def cmd_predict(args) -> int:
     else:
         if not args.input:
             raise ValueError("predict needs --queries or --input (with optional --ids)")
-        qm = _load_space(args)
+        # A classifier is only built on a strict space, so its space loads strict.
+        qm = _load_space(args.input, "strict")
         if qm.n != clf.n:
             raise ValueError(f"space has {qm.n} points but classifier expects {clf.n}")
         ids = _ids_arg(args.ids, qm.n)
@@ -340,12 +336,7 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
 
 
 def cmd_bound(args) -> int:
-    if args.eps is None:
-        rep = _classifier.bound_consistent(args.n, args.k, args.delta,
-                                           log_base=args.log_base)
-    else:
-        rep = _classifier.bound_agnostic(args.n, args.k, args.delta, args.eps,
-                                         log_base=args.log_base)
+    rep = _classifier.bound(args.n, args.k, args.delta, args.eps, log_base=args.log_base)
     emit("bound", {"report": rep.to_dict()})
     table(["field", "value"], [
         ["regime", rep.regime], ["n", rep.n], ["k", rep.k],
@@ -357,7 +348,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    qm = _load_space(args)
+    qm = _load_space(args.input, args.mode)
     sym = _symmetrize(qm, args.op)
     report = _transforms.check_symmetric_axioms(sym, tolerance=args.tolerance)
     payload = {"n": sym.n, "op": args.op, "kind": sym.kind.value,
@@ -540,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label points or query vectors")
     p.add_argument("--classifier", required=True)
     p.add_argument("--input", default=None, help="training space file")
-    p.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
     p.add_argument("--ids", default=None, help="comma-separated ids (default all)")
     p.add_argument("--queries", default=None, help="query-vector file")
     p.set_defaults(func=cmd_predict)

@@ -4,8 +4,8 @@ An OUTER cover at radius alpha is a set C with dist(C, x) <= alpha for every
 target x; an INNER cover has dist(x, C) <= alpha.  The workhorse is the
 classic greedy set-cover heuristic run over directional balls, which stays
 within a factor ceil(ln |S|) + 1 of the optimum; its one loop, over packed
-bitsets, also drives the covering-constant sweeps.  On top of it sit an
-epsilon-relaxed variant that may leave a small fraction uncovered, and an
+bitsets, also drives the covering-constant sweeps.  Given an eps, it may
+leave that fraction of the target uncovered.  On top of it sits an
 iterated schedule that first builds coarse covers at fast-shrinking radii
 and then covers the cover, trading a little radius for much less work on
 later rounds.
@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .space import (Direction, QuasiMetric, Record, _clean_ids, _nearest_centers,
-                    _require_strict, diameter)
+                    _require_strict, diameter, subspace)
 
 # Largest set the exact solvers take on: the target of an exact cover, and
 # the space of an exact covering or packing constant.
@@ -172,16 +172,21 @@ def _cover_from_picks(table: np.ndarray, picks: list[int], candidates: list[int]
                  assignment=assignment, uncovered=uncovered, stats=stats)
 
 
-def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                  alpha: float, direction: Direction, max_fraction: float) -> Cover:
-    """Greedy cover leaving at most ``max_fraction`` of the target uncovered;
-    one distance read is charged per (candidate, target) pair.
+def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
+                 alpha: float, direction: Direction, eps: Optional[float] = None) -> Cover:
+    """Greedy cover of ``target`` drawing centers from ``candidates``; one
+    distance read is charged per (candidate, target) pair.
 
-    The allowance is the largest whole count ``a`` with ``a / len(target) <=
-    max_fraction``.  Division rounds correctly, so 0.29 of 100 targets
-    allows 29, though the product ``0.29 * 100`` rounds down to
+    Without ``eps`` every target is covered.  With it, at most an eps
+    fraction may stay uncovered: the loop stops once the uncovered count is
+    the largest whole count ``a`` with ``a / |target| <= eps`` or below, so
+    with an optimal full cover of size p it takes at most
+    p * ceil(ln(1/eps)) rounds.  Division rounds correctly, so 0.29 of 100
+    targets allows 29, though the product ``0.29 * 100`` rounds down to
     28.999999999999996.
     """
+    if eps is not None and not (0 < eps < 1):
+        raise ValueError("eps must lie strictly between 0 and 1")
     direction = Direction(direction)
     _check_alpha(alpha)
     tgt = _clean_ids(qm.n, target, "target").tolist()
@@ -191,36 +196,18 @@ def _greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[i
     dists = qm.oriented(direction)[np.ix_(cand, tgt + tgt[:1] * (-len(tgt) % 64))]
     dists[:, len(tgt):] = np.inf
     covers, active = _packed(dists, np.array([alpha]), [len(tgt)])
-    allowance = math.floor(max_fraction * len(tgt))  # at most one off
-    if (allowance + 1) / len(tgt) <= max_fraction:
-        allowance += 1
-    elif allowance / len(tgt) > max_fraction:
-        allowance -= 1
+    allowance = 0
+    if eps is not None:
+        allowance = math.floor(eps * len(tgt))  # at most one off
+        if (allowance + 1) / len(tgt) <= eps:
+            allowance += 1
+        elif allowance / len(tgt) > eps:
+            allowance -= 1
     picks = _greedy_rounds(covers, active, [np.array(tgt)], [alpha], allowance)
     stats = CoverStats(iterations=len(picks),
                        distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(dists[:, :len(tgt)] <= alpha, [int(best[0]) for _, best in picks],
                              cand, tgt, alpha, direction, stats)
-
-
-def greedy_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                 alpha: float, direction: Direction) -> Cover:
-    """Full greedy cover of ``target`` drawing centers from ``candidates``."""
-    return _greedy_cover(qm, target, candidates, alpha, direction, 0.0)
-
-
-def greedy_cover_eps(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                     alpha: float, direction: Direction, eps: float) -> Cover:
-    """Greedy cover allowed to leave at most an eps fraction of the target.
-
-    Stops as soon as the uncovered count drops to eps * |target| or below
-    (the largest whole count ``a`` with ``a / |target| <= eps``);
-    with an optimal full cover of size p this takes at most
-    p * ceil(ln(1/eps)) rounds.
-    """
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie strictly between 0 and 1")
-    return _greedy_cover(qm, target, candidates, alpha, direction, eps)
 
 
 def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
@@ -250,7 +237,8 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
 
 
 def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
-                   alpha: float, direction: Direction, lambda_hat: float) -> Cover:
+                   alpha: float, direction: Direction,
+                   lambda_hat: Optional[float] = None) -> Cover:
     """Multi-round cover: coarse covers at a shrinking radius schedule, then
     one greedy pass at the remaining radius budget.
 
@@ -262,16 +250,23 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     alpha / 3.  If the very first scheduled radius is already too large the
     whole thing degenerates to a single greedy pass at alpha (``fallback``).
 
+    Without ``lambda_hat`` it is estimated as the greedy directional
+    constant of the points of ``target`` and ``candidates``, at least 2.
+
     The chained assignments are within alpha by the triangle inequality; the
     final per-point assignment is recomputed against the finished cover.
     """
     direction = Direction(direction)
     _require_strict(qm, "iterated_cover")
     _check_alpha(alpha, positive=True)
-    if not lambda_hat >= 2:  # also rejects NaN
+    if lambda_hat is not None and not lambda_hat >= 2:  # also rejects NaN
         raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
     tgt = _clean_ids(qm.n, target, "target").tolist()
     cand = _clean_ids(qm.n, candidates, "candidate").tolist()
+    if lambda_hat is None:
+        from .dimension import directional_constant
+        estimate = directional_constant(subspace(qm, tgt + cand), direction)
+        lambda_hat = max(2.0, float(estimate.value))
 
     diam = diameter(qm)
     n_t = len(tgt)

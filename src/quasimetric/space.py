@@ -93,15 +93,10 @@ class ValidationReport(Record):
 
 @dataclass
 class QuasiMetric:
-    """A finite quasi-metric space backed by a dense distance matrix.
-
-    ``validated`` is None until :func:`validate` has run, then records the
-    outcome of that check.
-    """
+    """A finite quasi-metric space backed by a dense distance matrix."""
 
     dist: np.ndarray
     mode: Mode = Mode.STRICT
-    validated: Optional[bool] = None
 
     def __post_init__(self) -> None:
         self.dist = np.asarray(self.dist, dtype=np.float64)
@@ -386,7 +381,7 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
     A triple (i, j, k) is a violation when
     ``dist[i, j] > dist[i, k] + dist[k, j]`` by more than a relative
     ``tolerance``.  In relaxed mode, rows where the left-hand side is
-    infinite are exempt.  Updates ``qm.validated``.
+    infinite are exempt.
     """
     d = qm.dist
     report = ValidationReport(passed=True, tolerance=_checked_tolerance(tolerance))
@@ -397,7 +392,6 @@ def validate(qm: QuasiMetric, tolerance: Optional[float] = None) -> ValidationRe
                      and not report.negative_entries
                      and not report.nonzero_diagonal
                      and not report.symmetry_violations)
-    qm.validated = report.passed
     return report
 
 

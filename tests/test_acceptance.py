@@ -12,13 +12,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from quasimetric import (Direction, bound_agnostic, bound_consistent,
+from quasimetric import (Direction, bound,
                          build_classifier, build_from_matrix, density_constant,
                          diameter, directional_constant, doubling_constant,
                          gen_backedge_line, gen_cycle, gen_hst_toward_root,
                          gen_line, gen_min_violation, gen_nn_lower_bound,
                          gen_random_bounded, gen_spoke_subset, greedy_cover,
-                         greedy_cover_eps, iterated_cover, log_star, make_sample,
+                         iterated_cover, log_star, make_sample,
                          margins, nearest, to_max_metric, to_min_semimetric,
                          transpose, verify_cover)
 from quasimetric.cover import arbitrary_cover
@@ -99,8 +99,8 @@ def test_c04_partial_cover_fraction_and_iterations():
     runs = 0
     for qm, alpha, direction, opt in _ratio_corpus():
         for eps in (0.5, 0.25, 0.1):
-            cov = greedy_cover_eps(qm, range(qm.n), range(qm.n), alpha,
-                                   direction, eps)
+            cov = greedy_cover(qm, range(qm.n), range(qm.n), alpha,
+                               direction, eps)
             runs += 1
             frac_ok = len(cov.uncovered) <= eps * qm.n
             iter_ok = cov.stats.iterations <= opt * math.ceil(math.log(1 / eps))
@@ -145,7 +145,7 @@ def test_c06_classifier_pipeline_on_constructed_sample():
 
 def test_c07_bound_arithmetic_and_monotonicity():
     t0 = time.perf_counter()
-    got = bound_consistent(100, 5, 0.05).value
+    got = bound(100, 5, 0.05).value
     want = (6 * math.log(100) + math.log(20)) / 95
     arith_ok = abs(got - want) <= 1e-12 * want
 
@@ -156,16 +156,16 @@ def test_c07_bound_arithmetic_and_monotonicity():
         k = int(rng.integers(0, n // 4 + 1))
         delta = float(rng.uniform(0.01, 0.5))
         eps = float(rng.uniform(0.0, 0.25))
-        c = bound_consistent(n, k, delta).value
-        a = bound_agnostic(n, k, delta, eps).value
+        c = bound(n, k, delta).value
+        a = bound(n, k, delta, eps).value
         checks = [
-            bound_consistent(n + 1, k, delta).value <= c,
-            bound_consistent(n, k + 1, delta).value >= c,
-            bound_consistent(n, k, delta * 0.9).value >= c,
-            bound_agnostic(n + 1, k, delta, eps).value <= a,
-            bound_agnostic(n, k + 1, delta, eps).value >= a,
-            bound_agnostic(n, k, delta * 0.9, eps).value >= a,
-            bound_agnostic(n, k, delta, min(eps + 0.01, 0.25)).value >= a,
+            bound(n + 1, k, delta).value <= c,
+            bound(n, k + 1, delta).value >= c,
+            bound(n, k, delta * 0.9).value >= c,
+            bound(n + 1, k, delta, eps).value <= a,
+            bound(n, k + 1, delta, eps).value >= a,
+            bound(n, k, delta * 0.9, eps).value >= a,
+            bound(n, k, delta, min(eps + 0.01, 0.25)).value >= a,
         ]
         if not all(checks):
             violations += 1

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimetric import (CompressedClassifier, DegenerateCandidatesError, Direction,
-                         InseparableSampleError, QueryVectors, bound_agnostic,
-                         bound_consistent, build_classifier, build_from_matrix,
+                         InseparableSampleError, QueryVectors, bound,
+                         build_classifier, build_from_matrix,
                          gen_random_bounded, make_sample, margins, predict)
 from quasimetric.classifier import parse_labels_text
 
@@ -252,18 +252,18 @@ class TestPredict:
 
 class TestBounds:
     def test_consistent_reference_value(self):
-        rep = bound_consistent(100, 5, 0.05)
+        rep = bound(100, 5, 0.05)
         manual = (6 * math.log(100) + math.log(20)) / 95
         assert abs(rep.value - manual) <= 1e-12 * manual
         assert rep.display == rep.value and not rep.vacuous
 
     def test_consistent_near_delta_one(self):
-        rep = bound_consistent(100, 0, 1 - 1e-12)
+        rep = bound(100, 0, 1 - 1e-12)
         assert rep.value == pytest.approx(math.log(100) / 100, rel=1e-9)
 
     def test_agnostic_reference_value(self):
         n, k, delta, eps = 200, 5, 0.05, 0.05
-        rep = bound_agnostic(n, k, delta, eps)
+        rep = bound(n, k, delta, eps)
         eps_t = eps * n / (n - k)
         load = 6 * math.log(200) + math.log(20)
         manual = (eps_t + 2 * load / (3 * 195)
@@ -273,27 +273,38 @@ class TestBounds:
 
     def test_agnostic_at_zero_eps_below_consistent(self):
         for n, k, delta in [(50, 3, 0.1), (200, 10, 0.05), (1000, 0, 0.01)]:
-            assert bound_agnostic(n, k, delta, 0.0).value <= \
-                bound_consistent(n, k, delta).value
+            assert bound(n, k, delta, 0.0).value <= \
+                bound(n, k, delta).value
+
+    def test_eps_chooses_the_regime(self):
+        # eps = 0.0 allows no training error but is still the agnostic bound.
+        zero = bound(100, 5, 0.05, 0.0)
+        assert (zero.regime, zero.eps, zero.eps_tilde) == ("agnostic", 0.0, 0.0)
+        assert bound(100, 5, 0.05).regime == "consistent"
+
+    def test_log_base_is_keyword_only(self):
+        # A positional fourth argument is eps, and a string eps is refused.
+        with pytest.raises(TypeError):
+            bound(100, 5, 0.05, "2")
 
     def test_log_base_two(self):
-        rep_e = bound_consistent(64, 3, 0.125)
-        rep_2 = bound_consistent(64, 3, 0.125, log_base="2")
+        rep_e = bound(64, 3, 0.125)
+        rep_2 = bound(64, 3, 0.125, log_base="2")
         assert rep_2.value == pytest.approx(rep_e.value / math.log(2), rel=1e-12)
 
     def test_vacuous_flagged_and_clamped(self):
-        rep = bound_consistent(10, 9, 0.5)
+        rep = bound(10, 9, 0.5)
         assert rep.vacuous and rep.display == 1.0 and rep.value > 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bound_consistent(10, 10, 0.1)
+            bound(10, 10, 0.1)
         with pytest.raises(ValueError):
-            bound_consistent(10, 2, 0.0)
+            bound(10, 2, 0.0)
         with pytest.raises(ValueError):
-            bound_agnostic(10, 2, 0.1, 1.5)
+            bound(10, 2, 0.1, 1.5)
         with pytest.raises(ValueError, match="exceeds 1"):
-            bound_agnostic(10, 8, 0.1, 0.5)  # eps_tilde = 2.5
+            bound(10, 8, 0.1, 0.5)  # eps_tilde = 2.5
 
     @given(n=st.integers(min_value=8, max_value=400),
            frac=st.floats(min_value=0.0, max_value=0.25),
@@ -302,12 +313,12 @@ class TestBounds:
     @settings(max_examples=100, deadline=None)
     def test_monotonicity(self, n, frac, delta, eps):
         k = min(int(frac * n), n // 4)
-        base_c = bound_consistent(n, k, delta).value
-        base_a = bound_agnostic(n, k, delta, eps).value
-        assert bound_consistent(n + 1, k, delta).value <= base_c
-        assert bound_consistent(n, k + 1, delta).value >= base_c
-        assert bound_consistent(n, k, delta * 0.9).value >= base_c
-        assert bound_agnostic(n + 1, k, delta, eps).value <= base_a
-        assert bound_agnostic(n, k + 1, delta, eps).value >= base_a
-        assert bound_agnostic(n, k, delta * 0.9, eps).value >= base_a
-        assert bound_agnostic(n, k, delta, min(eps + 0.01, 0.3)).value >= base_a
+        base_c = bound(n, k, delta).value
+        base_a = bound(n, k, delta, eps).value
+        assert bound(n + 1, k, delta).value <= base_c
+        assert bound(n, k + 1, delta).value >= base_c
+        assert bound(n, k, delta * 0.9).value >= base_c
+        assert bound(n + 1, k, delta, eps).value <= base_a
+        assert bound(n, k + 1, delta, eps).value >= base_a
+        assert bound(n, k, delta * 0.9, eps).value >= base_a
+        assert bound(n, k, delta, min(eps + 0.01, 0.3)).value >= base_a

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasimetric
-from quasimetric import (bound_consistent, density_constant, gen_random_bounded,
+from quasimetric import (bound, density_constant, gen_random_bounded,
                          save_labels, save_matrix, to_max_metric)
 from quasimetric.cli import _document, build_parser, main
 
@@ -507,7 +507,7 @@ class TestBound:
     def test_log_base_two(self, capsys):
         rc, doc, _ = run(["bound", "--n", "100", "--k", "5", "--delta", "0.05",
                           "--log-base", "2"], capsys)
-        expected = float(f"{bound_consistent(100, 5, 0.05).value / math.log(2):.12g}")
+        expected = float(f"{bound(100, 5, 0.05).value / math.log(2):.12g}")
         assert rc == 0 and doc["report"]["value"] == expected
 
     def test_bad_domain(self, capsys):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
                          QueryVectors, arbitrary_cover, build_classifier,
-                         build_from_matrix, diameter, exact_min_cover, gen_backedge_line,
-                         gen_cycle, gen_line, gen_random_bounded, greedy_cover,
-                         greedy_cover_eps, iterated_cover, log_star, make_sample,
-                         nearest, predict, transpose, verify_cover)
+                         build_from_matrix, diameter, directional_constant,
+                         exact_min_cover, gen_backedge_line, gen_cycle, gen_line,
+                         gen_random_bounded, greedy_cover, iterated_cover, log_star,
+                         make_sample, nearest, predict, subspace, transpose, verify_cover)
 from quasimetric.cover import min_cover_size_masks
 
 from conftest import (brute_arbitrary_cover, brute_greedy_cover, brute_min_cover,
@@ -47,12 +47,12 @@ def cover_instances(draw):
 
 
 def assert_greedy_matches_oracle(qm, target, candidates, alpha, direction, eps):
-    """``greedy_cover`` (eps None) or ``greedy_cover_eps`` gives the set
+    """``greedy_cover``, without or with ``eps``, gives the set
     oracle's picks, assignment, leftovers and rounds, or its failure."""
     if eps is None:
         build = lambda: greedy_cover(qm, target, candidates, alpha, direction)
     else:
-        build = lambda: greedy_cover_eps(qm, target, candidates, alpha, direction, eps)
+        build = lambda: greedy_cover(qm, target, candidates, alpha, direction, eps)
     size = len(set(target))
     allowed = 0 if eps is None else max(a for a in range(size + 1) if a / size <= eps)
     picks, assignment, uncovered = brute_greedy_cover(
@@ -120,7 +120,7 @@ class TestGreedyCover:
             t, flip, pts = transpose(qm), direction.flipped(), range(qm.n)
             builds = [
                 lambda s, d: greedy_cover(s, pts, pts, alpha, d),
-                lambda s, d: greedy_cover_eps(s, pts, pts, alpha, d, 0.3),
+                lambda s, d: greedy_cover(s, pts, pts, alpha, d, 0.3),
                 lambda s, d: arbitrary_cover(s, pts, pts, alpha, d),
                 lambda s, d: arbitrary_cover(s, pts, pts, alpha, d, seed=3),
                 lambda s, d: iterated_cover(s, pts, pts, alpha, d, 2.0),
@@ -217,7 +217,7 @@ class TestGreedyCover:
         qm = gen_cycle(4).space
         builds = [
             lambda a: greedy_cover(qm, range(4), range(4), a, Direction.INNER),
-            lambda a: greedy_cover_eps(qm, range(4), range(4), a, Direction.INNER, 0.5),
+            lambda a: greedy_cover(qm, range(4), range(4), a, Direction.INNER, 0.5),
             lambda a: arbitrary_cover(qm, range(4), range(4), a, Direction.INNER),
             lambda a: iterated_cover(qm, range(4), range(4), a, Direction.INNER, 2.0),
             lambda a: exact_min_cover(qm, range(4), range(4), a, Direction.INNER),
@@ -273,7 +273,7 @@ class TestEpsCover:
         assert p == 4
         expected_sizes = {0.5: 2, 0.25: 3, 0.1: 4}
         for eps, size in expected_sizes.items():
-            cov = greedy_cover_eps(qm, range(8), range(8), 1.0, Direction.INNER, eps)
+            cov = greedy_cover(qm, range(8), range(8), 1.0, Direction.INNER, eps)
             assert cov.size == size
             assert len(cov.uncovered) <= eps * 8
             assert cov.stats.iterations <= p * math.ceil(math.log(1 / eps))
@@ -281,26 +281,26 @@ class TestEpsCover:
     def test_allowance_is_the_largest_whole_count_within_eps(self):
         # 0.29 * 100 is 28.999999999999996 in floating point, yet 29 of the
         # 100 single-point balls may stay uncovered
-        cov = greedy_cover_eps(gen_cycle(100).space, range(100), range(100), 0.0,
-                               Direction.OUTER, 0.29)
+        cov = greedy_cover(gen_cycle(100).space, range(100), range(100), 0.0,
+                           Direction.OUTER, 0.29)
         assert (cov.size, len(cov.uncovered)) == (71, 29)
         assert cov.stats.iterations == 71
         # the float just below 20/53 times 53 rounds up to 20.0, yet only 19
         # of 53 fit within it
         cycle = gen_cycle(53).space
         for eps, left in ((20 / 53, 20), (math.nextafter(20 / 53, 0), 19)):
-            cov = greedy_cover_eps(cycle, range(53), range(53), 0.0, Direction.OUTER, eps)
+            cov = greedy_cover(cycle, range(53), range(53), 0.0, Direction.OUTER, eps)
             assert (cov.size, len(cov.uncovered)) == (53 - left, left)
 
     def test_eps_half_line(self):
         qm = gen_line(8).space
-        cov = greedy_cover_eps(qm, range(8), range(8), 1.0, Direction.INNER, 0.5)
+        cov = greedy_cover(qm, range(8), range(8), 1.0, Direction.INNER, 0.5)
         assert cov.cover_ids == [1, 3]
         assert cov.uncovered == {4, 5, 6, 7}
 
     def test_uncovered_points_skip_verification(self):
         qm = gen_line(8).space
-        cov = greedy_cover_eps(qm, range(8), range(8), 1.0, Direction.INNER, 0.5)
+        cov = greedy_cover(qm, range(8), range(8), 1.0, Direction.INNER, 0.5)
         ok, offenders = verify_cover(qm, cov, range(8))
         assert ok and not offenders
 
@@ -308,13 +308,13 @@ class TestEpsCover:
     def test_eps_domain(self, eps):
         qm = gen_cycle(4).space
         with pytest.raises(ValueError):
-            greedy_cover_eps(qm, range(4), range(4), 1.0, Direction.INNER, eps)
+            greedy_cover(qm, range(4), range(4), 1.0, Direction.INNER, eps)
 
     def test_unreachable_coverage_level_raises(self):
         qm = gen_line(8).space
         # candidate 7 inner-covers only {6, 7}: can't get down to 10% uncovered
         with pytest.raises(CoverageError):
-            greedy_cover_eps(qm, range(8), [7], 1.0, Direction.INNER, 0.1)
+            greedy_cover(qm, range(8), [7], 1.0, Direction.INNER, 0.1)
 
 
 class TestIteratedCover:
@@ -355,6 +355,43 @@ class TestIteratedCover:
             iterated_cover(relaxed, range(8), range(8), 4.0, Direction.INNER, 2.0)
         with pytest.raises(ValueError, match="positive"):
             iterated_cover(qm, range(8), range(8), 0.0, Direction.INNER, 2.0)
+
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_default_lambda_hat_is_the_constant_of_its_points(self, data):
+        """Without ``lambda_hat`` the schedule runs on the greedy directional
+        constant of the target and candidate points, at least 2."""
+        qm = data.draw(tie_heavy_spaces(allow_relaxed=False))
+        ids = st.integers(min_value=0, max_value=qm.n - 1)
+        target = data.draw(st.sets(ids, min_size=1))
+        candidates = data.draw(st.sets(ids, min_size=1))
+        direction = data.draw(st.sampled_from(list(Direction)))
+        alpha = data.draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])) * max(diameter(qm), 1.0)
+        points = subspace(qm, target | candidates)
+        rule = max(2.0, float(directional_constant(points, direction).value))
+
+        def outcome(*lambda_hat):
+            try:
+                return iterated_cover(qm, target, candidates, alpha, direction,
+                                      *lambda_hat).to_dict()
+            except CoverageError as exc:
+                return str(exc)
+
+        assert outcome() == outcome(rule)
+
+    def test_default_lambda_hat_ignores_other_points(self):
+        # A 64-point line (greedy constant 3) beside ten points at distance
+        # 64 from every other point: the whole space's constant, 11, would
+        # leave no room for a coarse round at this radius.
+        d = np.full((74, 74), 64.0)
+        d[:64, :64] = np.abs(np.arange(64)[:, None] - np.arange(64)[None, :])
+        np.fill_diagonal(d, 0.0)
+        qm = build_from_matrix(d)
+        for direction in Direction:
+            assert directional_constant(qm, direction).value == 11
+            cov = iterated_cover(qm, range(64), range(64), 60.0, direction)
+            assert cov.stats.radius_schedule == [16.0, 44.0]
 
 
 class TestVerifyCover:

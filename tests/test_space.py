@@ -21,7 +21,7 @@ from quasimetric import (Cover, CoverStats, Direction, Mode, QuasiMetric, QueryV
                          arbitrary_cover, ball, build_classifier, build_from_digraph,
                          build_from_matrix, check_symmetric_axioms, diameter,
                          exact_min_cover, gen_cycle, gen_line, greedy_cover,
-                         greedy_cover_eps, iterated_cover, make_sample, nearest, predict,
+                         iterated_cover, make_sample, nearest, predict,
                          set_distance, subspace, to_min_semimetric, transpose, validate,
                          verify_cover)
 from quasimetric import _text
@@ -44,7 +44,6 @@ class TestBuildFromMatrix:
         qm = build_from_matrix([[0, 1], [2, 0]])
         assert qm.n == 2
         assert qm.mode is Mode.STRICT
-        assert qm.validated is None
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -248,7 +247,6 @@ class TestValidate:
         for _ in range(10):
             qm = random_quasimetric(rng, int(rng.integers(2, 10)))
             assert validate(qm, tolerance=0.0).passed
-            assert qm.validated is True
 
     def test_detects_planted_violation(self, rng):
         qm = random_quasimetric(rng, 6)
@@ -669,8 +667,7 @@ _ID_CALLERS = {
     "greedy_cover target": lambda qm, ids: greedy_cover(qm, ids, range(6), 1.0, "outer"),
     "greedy_cover candidates":
         lambda qm, ids: greedy_cover(qm, range(6), ids, 1.0, "outer"),
-    "greedy_cover_eps": lambda qm, ids: greedy_cover_eps(qm, ids, range(6), 1.0,
-                                                         "inner", 0.5),
+    "greedy_cover_eps": lambda qm, ids: greedy_cover(qm, ids, range(6), 1.0, "inner", 0.5),
     "arbitrary_cover": lambda qm, ids: arbitrary_cover(qm, range(6), ids, 1.0, "outer"),
     "iterated_cover": lambda qm, ids: iterated_cover(qm, ids, range(6), 3.0, "inner", 2.0),
     "exact_min_cover": lambda qm, ids: exact_min_cover(qm, range(6), ids, 1.0, "outer"),
