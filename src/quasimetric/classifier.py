@@ -185,7 +185,9 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     stay uncovered, trading training error for size (mode ``eps``, greedy
     covers only).  ``lambda_hat`` feeds the iterated schedule and is an
     error with any other algorithm; when omitted, ``iterated_cover``
-    estimates it from each class.
+    estimates it from each class only as far as that class's schedule
+    needs, sweeping no ball when no lambda_hat could give a coarse round,
+    and counts the estimate's reads in the cover's stats.
 
     Candidates whose separation gap closes to zero are discarded; ties on
     size break in the fixed order pos-outer, neg-inner, pos-inner,

@@ -236,6 +236,55 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     return _cover_from_picks(table, picks, cand, tgt, alpha, direction, stats)
 
 
+def _schedule(n_t: int, diam: float, alpha: float, lambda_hat: float) -> list[float]:
+    """The coarse radii ``iterated_cover`` schedules for ``n_t`` targets, in
+    round order; exponents below 1 count as 1."""
+    radii, consumed, level = [], 0.0, float(n_t)
+    while True:
+        level = math.log2(level)  # n_t >= 1, and later levels exceed 1
+        if level <= 1.0:
+            return radii
+        exponent = max(1, math.ceil(math.log2(level) / math.log2(lambda_hat)))
+        alpha_i = diam / (2.0 ** exponent)
+        if not (alpha_i < alpha / 3.0) or consumed + alpha_i > 2.0 * alpha / 3.0:
+            return radii
+        radii.append(alpha_i)
+        consumed += alpha_i
+
+
+def _estimated_schedule(qm: QuasiMetric, ids: list[int], direction: Direction,
+                        n_t: int, diam: float, alpha: float) -> tuple[list[float], int]:
+    """The schedule of the default lambda_hat, the greedy directional
+    constant of the points ``ids`` but at least 2, and the distance reads
+    spent on it.
+
+    The constant is an integer and the sweep's running maximum of greedy
+    sizes only grows towards it, so the sweep stops, exactly, once every
+    integer at or above that maximum (at least 2) gives one schedule, and
+    runs not at all when 2 already does.  Its reads are the copy of the
+    points' subspace and the table of each swept center, in a strict space
+    the whole copy.
+    """
+    from .dimension import _greedy_sweep
+    top = (n_t - 1).bit_length()  # ceil(log2 n_t): from there on every exponent is 1
+
+    def settled(low: int) -> bool:
+        return len({tuple(_schedule(n_t, diam, alpha, lam))
+                    for lam in range(low, max(low, top) + 1)}) == 1
+
+    low, reads = 2, 0
+    if not settled(low):
+        d = subspace(qm, ids).oriented(direction)
+        swept: set[int] = set()
+        for centers, _, sizes in _greedy_sweep(d):
+            swept.update(centers.tolist())
+            low = max(low, int(sizes.max()))
+            if settled(low):
+                break
+        reads = d.size * (1 + len(swept))
+    return _schedule(n_t, diam, alpha, low), reads
+
+
 def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
                    alpha: float, direction: Direction,
                    lambda_hat: Optional[float] = None) -> Cover:
@@ -250,8 +299,13 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     alpha / 3.  If the very first scheduled radius is already too large the
     whole thing degenerates to a single greedy pass at alpha (``fallback``).
 
-    Without ``lambda_hat`` it is estimated as the greedy directional
-    constant of the points of ``target`` and ``candidates``, at least 2.
+    Without ``lambda_hat`` it is the greedy directional constant of the
+    points of ``target`` and ``candidates``, at least 2, estimated only as
+    far as the schedule needs: the constant's sweep stops once no larger
+    value could change the schedule, and is skipped when none could.  The
+    estimate's reads, the subspace copy and each swept center's table,
+    count in ``stats.distance_evaluations``; they are 0 when
+    ``lambda_hat`` is given or no ball is swept.
 
     The chained assignments are within alpha by the triangle inequality; the
     final per-point assignment is recomputed against the finished cover.
@@ -263,42 +317,29 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
         raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
     tgt = _clean_ids(qm.n, target, "target").tolist()
     cand = _clean_ids(qm.n, candidates, "candidate").tolist()
-    if lambda_hat is None:
-        from .dimension import directional_constant
-        estimate = directional_constant(subspace(qm, tgt + cand), direction)
-        lambda_hat = max(2.0, float(estimate.value))
-
     diam = diameter(qm)
-    n_t = len(tgt)
     stats = CoverStats()
+    if lambda_hat is None:
+        schedule, stats.distance_evaluations = _estimated_schedule(
+            qm, tgt + cand, direction, len(tgt), diam, alpha)
+    else:
+        schedule = _schedule(len(tgt), diam, alpha, lambda_hat)
+
     current = tgt
     consumed = 0.0
-    level = float(n_t)
-    while True:
-        level = math.log2(level) if level > 0 else 0.0
-        if level <= 1.0:
-            break
-        exponent = math.ceil(math.log2(level) / math.log2(lambda_hat))
-        if exponent < 1:
-            exponent = 1
-        alpha_i = diam / (2.0 ** exponent)
-        if not (alpha_i < alpha / 3.0):
-            break
-        if consumed + alpha_i > 2.0 * alpha / 3.0:
-            break
+    for alpha_i in schedule:
         round_cover = greedy_cover(qm, current, cand, alpha_i, direction)
         stats.iterations += round_cover.stats.iterations
         stats.distance_evaluations += round_cover.stats.distance_evaluations
-        stats.radius_schedule.append(alpha_i)
         consumed += alpha_i
         current = sorted(round_cover.cover_ids)
 
-    stats.fallback = not stats.radius_schedule
+    stats.fallback = not schedule
     final_radius = alpha - consumed
     final = greedy_cover(qm, current, cand, final_radius, direction)
     stats.iterations += final.stats.iterations
     stats.distance_evaluations += final.stats.distance_evaluations
-    stats.radius_schedule.append(final_radius)
+    stats.radius_schedule = schedule + [final_radius]
 
     cover_ids = final.cover_ids
     if stats.fallback:

@@ -106,59 +106,61 @@ def _balls(d: np.ndarray):
             yield center, perm, radii, np.searchsorted(ranked, radii, side="right")
 
 
-def _greedy_sweep(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The center, radius and greedy cover size of every critical OUTER
-    ball, as three arrays in sweep order.
+def _greedy_sweep(d: np.ndarray):
+    """Yield the center, radius and greedy cover size of every critical
+    OUTER ball, as three arrays per block, blocks in sweep order.
 
     Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``.
     The packed balls of consecutive centers gather into one block until the
     next center's would push it past ``_GATHER_CAP``; one batch of the
     greedy kernel then covers the block, each size being its entry's round
-    count.
+    count.  A center's table is read from ``d`` only once its first radii
+    join a block, so a consumer that stops taking blocks has read the
+    tables of the centers it was given and no other.
     """
     n = d.shape[0]
-    centers, radii, sizes = [np.zeros(0, int)], [np.zeros(0)], [np.zeros(0, int)]
     block, entries, width = [], 0, 0
     for center, perm, rs, members in _balls(d):
         # Whole 64-bit words per candidate row; the inf padding lies in no ball.
         words = -(-members[-1] // 64)
-        table = np.full((n, 64 * words), np.inf)
-        table[:, :members[-1]] = d[:, perm[:members[-1]]]
-        step = max(1, _BLOCK_CAP // (n * table.shape[1]))
+        step = max(1, _BLOCK_CAP // (n * 64 * words))
         for lo in range(0, rs.size, step):
             chunk = rs[lo:lo + step]
             if block and (entries + chunk.size) * n * 64 * max(width, words) > _GATHER_CAP:
-                sizes.append(_block_sizes(block, entries, width))
+                yield _block_sizes(block, entries, width)
                 block, entries, width = [], 0, 0
-            halves = chunk / 2.0
-            block.append((*_cover._packed(table, halves, members[lo:lo + step]),
-                          perm, halves.tolist()))
+            if not lo:
+                table = np.full((n, 64 * words), np.inf)
+                table[:, :members[-1]] = d[:, perm[:members[-1]]]
+            block.append((*_cover._packed(table, chunk / 2.0, members[lo:lo + step]),
+                          perm, center, chunk))
             entries, width = entries + chunk.size, max(width, words)
-        centers.append(np.full(rs.size, center))
-        radii.append(rs)
     if block:
-        sizes.append(_block_sizes(block, entries, width))
-    return np.concatenate(centers), np.concatenate(radii), np.concatenate(sizes)
+        yield _block_sizes(block, entries, width)
 
 
-def _block_sizes(block: list, entries: int, width: int) -> np.ndarray:
-    """Greedy cover sizes of the ``entries`` entries of ``block``, a list of
-    ``(covers, active, perm, halves)`` pieces from ``cover._packed``, in one
-    batch of the greedy kernel.  A piece's rows are padded to ``width`` with
-    zero words, which no ball covers and no entry needs covered."""
+def _block_sizes(block: list, entries: int, width: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers, radii and greedy cover sizes of the ``entries`` entries of
+    ``block``, a list of ``(covers, active, perm, center, radii)`` pieces,
+    ``covers`` and ``active`` from ``cover._packed``, in one batch of the
+    greedy kernel.  A piece's rows are padded to ``width`` with zero words,
+    which no ball covers and no entry needs covered."""
     covers, active = block[0][:2]
     if len(block) > 1:
         covers = np.zeros((entries, width, covers.shape[2]), np.uint64)
         active = np.zeros((entries, width), np.uint64)
         at = 0
-        for piece_covers, piece_active, _, _ in block:
+        for piece_covers, piece_active, *_ in block:
             covers[at:at + len(piece_active), :piece_active.shape[1]] = piece_covers
             active[at:at + len(piece_active), :piece_active.shape[1]] = piece_active
             at += len(piece_active)
-    ids = [perm for _, piece_active, perm, _ in block for _ in piece_active]
-    halves = [half for *_, piece_halves in block for half in piece_halves]
-    picks = _cover._greedy_rounds(covers, active, ids, halves)
-    return np.bincount(np.concatenate([live for live, _ in picks]), minlength=entries)
+    ids = [perm for _, piece_active, perm, *_ in block for _ in piece_active]
+    centers = np.concatenate([np.full(radii.size, center) for *_, center, radii in block])
+    radii = np.concatenate([radii for *_, radii in block])
+    picks = _cover._greedy_rounds(covers, active, ids, (radii / 2.0).tolist())
+    return centers, radii, np.bincount(np.concatenate([live for live, _ in picks]),
+                                       minlength=entries)
 
 
 def _constant(qm: QuasiMetric, quantity: str, method: str,
@@ -175,7 +177,8 @@ def _constant(qm: QuasiMetric, quantity: str, method: str,
     orientation = direction or Direction.OUTER
     d = qm.oriented(orientation)
     if quantity != "density" and method == "greedy":
-        centers, radii, sizes = _greedy_sweep(d)
+        blocks = list(zip(*_greedy_sweep(d)))
+        centers, radii, sizes = map(np.concatenate, blocks) if blocks else ([], [], [])
     else:
         centers, radii, sizes = [], [], []
         for center, perm, rs, members in _balls(d):

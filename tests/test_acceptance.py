@@ -117,7 +117,7 @@ def test_c05_iterated_cover_envelope_at_scale():
     for n in (256, 512, 1024):
         fx = gen_random_bounded(n, seed=7)
         alpha = diameter(fx.space) / 4.0
-        for lam in (2.0, 8.0):
+        for lam in (2.0, 8.0, None):
             cov = iterated_cover(fx.space, range(n), range(n), alpha,
                                  Direction.INNER, lam)
             okc, offenders = verify_cover(fx.space, cov, range(n))
@@ -125,7 +125,7 @@ def test_c05_iterated_cover_envelope_at_scale():
             if not okc or offenders or cov.stats.distance_evaluations > budget:
                 failures.append((n, lam, cov.stats.distance_evaluations, budget))
     ok = not failures
-    _finish(5, ok, f"n in (256, 512, 1024) x lambda in (2, 8): "
+    _finish(5, ok, f"n in (256, 512, 1024) x lambda in (2, 8, default): "
                    f"{'all verified within budget' if ok else failures}", t0, 120.0)
 
 

@@ -9,6 +9,7 @@ from quasimetric import (CompressedClassifier, DegenerateCandidatesError, Direct
                          InseparableSampleError, QueryVectors, bound,
                          build_classifier, build_from_matrix,
                          gen_random_bounded, make_sample, margins, predict)
+from quasimetric import dimension
 from quasimetric.classifier import parse_labels_text
 
 from conftest import random_quasimetric
@@ -150,6 +151,27 @@ class TestBuildClassifier:
                                  lambda_hat=2.0)
         assert clf_i.k == clf_g.k
         assert clf_i.kind == clf_g.kind
+
+    def test_iterated_default_sweeps_no_ball_on_a_four_arc_ring(self, monkeypatch):
+        # A directed ring of 112 points with real weights in [8, 12), edges
+        # leaving an arc 12, labelled in four arcs: both margins are 12, far
+        # below the diameter, so lambda_hat = 2 falls back and so does every
+        # larger one.
+        def refuse(d):
+            raise AssertionError("swept a ball for lambda_hat")
+
+        n = 112
+        labels = np.where((4 * np.arange(n) // n) % 2 == 0, 1, -1)
+        weights = np.random.default_rng(0).uniform(8.0, 12.0, n)
+        weights[labels != np.roll(labels, -1)] = 12.0
+        pre = np.concatenate([[0.0], np.cumsum(weights)])
+        d = np.mod(pre[None, :n] - pre[:n, None], pre[-1])
+        np.fill_diagonal(d, 0.0)
+        sample = make_sample(build_from_matrix(d), dict(enumerate(labels.tolist())))
+        explicit = build_classifier(sample, algorithm="iterated", lambda_hat=2.0)
+        monkeypatch.setattr(dimension, "_greedy_sweep", refuse)
+        default = build_classifier(sample, algorithm="iterated")
+        assert default.to_dict() == explicit.to_dict()
 
     def test_symmetric_space_pairs_candidates(self, rng):
         # with symmetry, outer and inner covers of the same class coincide,

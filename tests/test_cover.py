@@ -12,6 +12,7 @@ from quasimetric import (CoverageError, DegenerateCandidatesError, Direction,
                          exact_min_cover, gen_backedge_line, gen_cycle, gen_line,
                          gen_random_bounded, greedy_cover, iterated_cover, log_star,
                          make_sample, nearest, predict, subspace, transpose, verify_cover)
+from quasimetric import dimension
 from quasimetric.cover import min_cover_size_masks
 
 from conftest import (brute_arbitrary_cover, brute_greedy_cover, brute_min_cover,
@@ -360,8 +361,11 @@ class TestIteratedCover:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_default_lambda_hat_is_the_constant_of_its_points(self, data):
-        """Without ``lambda_hat`` the schedule runs on the greedy directional
-        constant of the target and candidate points, at least 2."""
+        """Without ``lambda_hat`` the cover and schedule are those of the
+        greedy directional constant of the target and candidate points, at
+        least 2.  The estimate's reads are charged on top, and are 0 exactly
+        when every lambda_hat from 2 to ceil(log2 |target|) gives one
+        schedule."""
         qm = data.draw(tie_heavy_spaces(allow_relaxed=False))
         ids = st.integers(min_value=0, max_value=qm.n - 1)
         target = data.draw(st.sets(ids, min_size=1))
@@ -373,12 +377,64 @@ class TestIteratedCover:
 
         def outcome(*lambda_hat):
             try:
-                return iterated_cover(qm, target, candidates, alpha, direction,
-                                      *lambda_hat).to_dict()
+                return iterated_cover(qm, target, candidates, alpha, direction, *lambda_hat)
             except CoverageError as exc:
                 return str(exc)
 
-        assert outcome() == outcome(rule)
+        default, explicit = outcome(), outcome(rule)
+        if isinstance(explicit, str):
+            assert default == explicit
+            return
+        for name in ("cover_ids", "assignment", "uncovered"):
+            assert getattr(default, name) == getattr(explicit, name)
+        for name in ("radius_schedule", "fallback", "iterations"):
+            assert getattr(default.stats, name) == getattr(explicit.stats, name)
+        # A run that raises had a schedule other than the rule's, which succeeded.
+        top = max(2, math.ceil(math.log2(len(target))))
+        schedules = {run if isinstance(run, str) else tuple(run.stats.radius_schedule)
+                     for run in map(outcome, range(2, top + 1))}
+        extra = default.stats.distance_evaluations - explicit.stats.distance_evaluations
+        assert extra >= 0
+        assert (extra == 0) == (len(schedules) == 1)
+
+    def test_default_lambda_hat_just_below_a_breakpoint(self):
+        # A 60-point line has greedy constant 3.  For 16 targets at alpha =
+        # diam, lambda_hat 2 and 3 give one coarse round at diam / 4 and
+        # every lambda_hat >= 4 falls back, so no prefix of the sweep, whose
+        # running maximum is 3 from its first block on, decides the
+        # schedule: it must sweep every center to rule out 4.
+        m = 60
+        qm = build_from_matrix(np.abs(np.arange(m)[:, None] - np.arange(m)[None, :]))
+        alpha = diameter(qm)
+        for direction in Direction:
+            assert directional_constant(qm, direction).value == 3
+
+            def run(*lambda_hat):
+                return iterated_cover(qm, range(16), range(m), alpha, direction, *lambda_hat)
+
+            below = run(3.0)
+            assert below.stats.radius_schedule == [alpha / 4, 3 * alpha / 4]
+            assert all(run(float(lam)).stats.fallback for lam in range(4, 9))
+            default = run()
+            assert default.to_dict() == {
+                **below.to_dict(),
+                "stats": {**below.stats.to_dict(), "distance_evaluations":
+                          below.stats.distance_evaluations + m * m * (1 + m)}}
+
+    def test_no_ball_is_swept_when_lambda_hat_2_falls_back(self, monkeypatch):
+        # At alpha = diam / 4 and n = 256, lambda_hat = 2 puts the first
+        # radius at diam / 8, not below alpha / 3, and larger lambda_hat
+        # only raise it.
+        def refuse(d):
+            raise AssertionError("swept a ball for lambda_hat")
+
+        monkeypatch.setattr(dimension, "_greedy_sweep", refuse)
+        qm = gen_random_bounded(256, seed=7).space
+        alpha = diameter(qm) / 4.0
+        default = iterated_cover(qm, range(256), range(256), alpha, Direction.INNER)
+        explicit = iterated_cover(qm, range(256), range(256), alpha, Direction.INNER, 2.0)
+        assert default.stats.fallback
+        assert default.to_dict() == explicit.to_dict()
 
     def test_default_lambda_hat_ignores_other_points(self):
         # A 64-point line (greedy constant 3) beside ten points at distance
