@@ -127,13 +127,18 @@ def _usable_cpus() -> int:
 
 def in_threads(work: Callable, items: Sequence) -> None:
     """Call ``work`` on each of ``min(CPUs, len(items))`` shares of ``items``,
-    dealt in turn: the first share in this thread, each other on a thread of
-    its own (numpy's loops release the GIL).  Once every thread has been
-    joined, the first error raised in another thread is raised here.
+    dealt in snake order (0, 1, ..., s-1, s-1, ..., 0, 0, 1, ...), so that
+    items given largest first split evenly: the first share in this thread,
+    each other on a thread of its own (numpy's loops release the GIL).  Once
+    every thread has been joined, the first error raised in another thread
+    is raised here.
     """
     import threading  # at the top it would slow every worker's start
 
     shares = min(_usable_cpus(), len(items)) or 1
+    lap = 2 * shares
+    dealt = [[item for i, item in enumerate(items) if i % lap in (t, lap - 1 - t)]
+             for t in range(shares)]
     errors, started = [], []
 
     def guarded(share) -> None:
@@ -144,10 +149,10 @@ def in_threads(work: Callable, items: Sequence) -> None:
 
     try:
         for t in range(1, shares):
-            thread = threading.Thread(target=guarded, args=(items[t::shares],))
+            thread = threading.Thread(target=guarded, args=(dealt[t],))
             thread.start()
             started.append(thread)
-        work(items[::shares])
+        work(dealt[0])
     finally:
         for thread in started:
             thread.join()

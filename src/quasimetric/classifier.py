@@ -29,15 +29,15 @@ import numpy as np
 
 from . import _text
 from . import cover as _cover
-from .space import (Direction, QuasiMetric, Record, _candidate_reads, _clean_ids,
-                    _nearest_centers, _require_strict, set_distance)
+from .space import (Direction, DomainFailure, QuasiMetric, Record, _candidate_reads,
+                    _clean_ids, _nearest_centers, _require_strict, set_distance)
 
 
-class InseparableSampleError(ValueError):
+class InseparableSampleError(DomainFailure, ValueError):
     """A positive and a negative point coincide (zero directed margin)."""
 
 
-class DegenerateCandidatesError(ValueError):
+class DegenerateCandidatesError(DomainFailure, ValueError):
     """Every candidate rule had a zero separation gap at its threshold."""
 
 

@@ -17,19 +17,20 @@ import sys
 import time
 from array import array
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import _text
-from . import classifier as _classifier
-from . import cover as _cover
-from . import dimension as _dimension
-from . import fixtures as _fixtures
-from . import transforms as _transforms
-from .space import (Direction, Mode, QuasiMetric, QueryVectors, _first_line,
-                    _parse_records, diameter, load_edge_list, load_matrix, nearest,
-                    save_edge_list, save_matrix, validate)
+from .space import (Direction, DomainFailure, Mode, QuasiMetric, QueryVectors,
+                    _first_line, _parse_records, diameter, load_edge_list, load_matrix,
+                    nearest, save_edge_list, save_matrix, validate)
+
+# The other modules are imported by the commands that run them, so each
+# command loads (and, with no bytecode cache, compiles) only its own.
+if TYPE_CHECKING:
+    from .classifier import CompressedClassifier
+    from .transforms import SymmetricSpace
 
 SCHEMA = 1
 
@@ -141,7 +142,9 @@ _SYMMETRIZATIONS = {"max": "to_max_metric", "min": "to_min_semimetric",
                    "sum": "to_sum_metric"}
 
 
-def _symmetrize(qm: QuasiMetric, op: str) -> _transforms.SymmetricSpace:
+def _symmetrize(qm: QuasiMetric, op: str) -> SymmetricSpace:
+    from . import transforms as _transforms
+
     return getattr(_transforms, _SYMMETRIZATIONS[op])(qm)
 
 
@@ -168,6 +171,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    from . import dimension as _dimension
+
     if args.symmetrize != "none" and args.constant == "directional":
         raise ValueError("--symmetrize does not apply to --constant directional")
     if args.direction is not None and args.constant != "directional":
@@ -202,6 +207,8 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from . import cover as _cover
+
     if args.eps is not None and args.algo != "greedy":
         raise ValueError(f"--eps applies only to --algo greedy, not {args.algo}")
     if args.lambda_hat is not None and args.algo != "iterated":
@@ -241,6 +248,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import classifier as _classifier
+
     qm = _load_space(args.input, args.mode)
     labels = _classifier.load_labels(args.labels)
     sample = _classifier.make_sample(qm, labels)
@@ -264,7 +273,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_classifier(path: str) -> _classifier.CompressedClassifier:
+def _load_classifier(path: str) -> CompressedClassifier:
+    from . import classifier as _classifier
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     data = doc.get("classifier", doc)
@@ -272,6 +283,8 @@ def _load_classifier(path: str) -> _classifier.CompressedClassifier:
 
 
 def cmd_predict(args) -> int:
+    from . import classifier as _classifier
+
     if args.queries and (args.input or args.ids is not None):
         raise ValueError("--queries cannot be combined with --input or --ids")
     clf = _load_classifier(args.classifier)
@@ -336,6 +349,8 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
 
 
 def cmd_bound(args) -> int:
+    from . import classifier as _classifier
+
     rep = _classifier.bound(args.n, args.k, args.delta, args.eps, log_base=args.log_base)
     emit("bound", {"report": rep.to_dict()})
     table(["field", "value"], [
@@ -348,6 +363,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import transforms as _transforms
+
     qm = _load_space(args.input, args.mode)
     sym = _symmetrize(qm, args.op)
     report = _transforms.check_symmetric_axioms(sym, tolerance=args.tolerance)
@@ -369,6 +386,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import fixtures as _fixtures
+
     kind, make = args.kind, _fixtures.GENERATORS[args.kind]
     # Each option names a generator parameter: one the kind's generator lacks
     # is rejected.  n, p and seed have no default there; the rest keep theirs.
@@ -408,6 +427,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import cover as _cover, dimension as _dimension, fixtures as _fixtures
+
     scan = args.fixture == "nn-lower-bound"
     cover_options = ["sizes", "algo", "lambda_hat", "seed"]
     _reject_unread(args, ["p", *cover_options], ["p"] if scan else cover_options,
@@ -552,14 +573,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("gen", help="generate a structured fixture")
-    p.add_argument("--kind", choices=sorted(_fixtures.GENERATORS), required=True)
+    # sorted(fixtures.GENERATORS) and fixtures.DEFAULT_TARGET_CONSTANT, written
+    # out so that no other command loads fixtures; a test ties them.
+    p.add_argument("--kind", choices=["backedge-line", "cycle", "hst-toward-root", "line",
+                                      "min-violation", "nn-lower-bound", "random-bounded",
+                                      "spoke-subset"], required=True)
     # Each kind reads the options its generator has parameters for.
     p.add_argument("--n", type=int, default=None, help="(default 8)")
     p.add_argument("--p", type=int, default=None, help="(default 3)")
     p.add_argument("--branching", type=int, default=None, help="(default 2)")
     p.add_argument("--seed", type=int, default=None, help="(default 0)")
     p.add_argument("--target-constant", type=int, default=None,
-                   help=f"(default {_fixtures.DEFAULT_TARGET_CONSTANT})")
+                   help="(default 8)")
     p.add_argument("--out-format", choices=["matrix", "edges"], default="matrix")
     p.add_argument("--output", default=None, help="write the space file here")
     p.add_argument("--spec-out", default=None, help="write the fixture spec JSON here")
@@ -588,8 +613,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_cover.CoverageError, _classifier.InseparableSampleError,
-            _classifier.DegenerateCandidatesError) as exc:
+    except DomainFailure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

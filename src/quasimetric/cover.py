@@ -22,8 +22,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .space import (Direction, QuasiMetric, Record, _clean_ids, _nearest_centers,
-                    _require_strict, diameter, subspace)
+from .space import (Direction, DomainFailure, QuasiMetric, Record, _clean_ids,
+                    _nearest_centers, _require_strict, diameter, subspace)
 
 # Largest set the exact solvers take on: the target of an exact cover, and
 # the space of an exact covering or packing constant.
@@ -34,7 +34,7 @@ EXACT_SIZE_CAP = 16
 _CHAIN_RTOL = 1e-9
 
 
-class CoverageError(RuntimeError):
+class CoverageError(DomainFailure, RuntimeError):
     """Raised when the requested coverage level cannot be reached."""
 
     def __init__(self, message: str, uncoverable: Optional[set[int]] = None):
@@ -265,7 +265,6 @@ def _estimated_schedule(qm: QuasiMetric, ids: list[int], direction: Direction,
     points' subspace and the table of each swept center, in a strict space
     the whole copy.
     """
-    from .dimension import _greedy_sweep
     top = (n_t - 1).bit_length()  # ceil(log2 n_t): from there on every exponent is 1
 
     def settled(low: int) -> bool:
@@ -274,6 +273,8 @@ def _estimated_schedule(qm: QuasiMetric, ids: list[int], direction: Direction,
 
     low, reads = 2, 0
     if not settled(low):
+        from .dimension import _greedy_sweep  # dimension imports this module
+
         d = subspace(qm, ids).oriented(direction)
         swept: set[int] = set()
         for centers, _, sizes in _greedy_sweep(d):

@@ -47,6 +47,11 @@ class Direction(str, Enum):
         return Direction.INNER if self is Direction.OUTER else Direction.OUTER
 
 
+class DomainFailure(Exception):
+    """Base of the errors of a check or construction that ran and said no
+    (the CLI's exit 1), as against bad input."""
+
+
 class Record:
     """Base of the plain result dataclasses.  ``to_dict`` returns the fields
     in declaration order: records as dicts, enums as their values, dicts as
@@ -335,7 +340,7 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
     half = np.array_equal(d, d.T)
     suspect = np.zeros((n, n), dtype=bool)
 
-    def scan(starts: range) -> None:
+    def scan(starts: list[int]) -> None:
         sums_buf = np.empty((_SCAN_GROUP_ROWS, cols, n))
         # -inf + inf is NaN: never a violation.  numpy's error state is
         # context-local, so each thread sets its own.
@@ -351,7 +356,12 @@ def _triangle_scan(d: np.ndarray, report: ValidationReport,
                     best = np.fmin.reduce(sums, axis=2)  # fmin skips a NaN sum
                     np.greater(d[r0:r1, c0:c1], best * scale, out=suspect[r0:r1, c0:c1])
 
-    _text.in_threads(scan, range(0, n, cols))
+    def cost(c0: int) -> int:  # the sums one panel takes, over n
+        c1 = min(c0 + cols, n)
+        return (c1 if half else n) * (c1 - c0)
+
+    # Largest panel first: in_threads's snake deal then evens out the shares.
+    _text.in_threads(scan, sorted(range(0, n, cols), key=cost, reverse=True))
     if half:
         suspect |= suspect.T
     with np.errstate(invalid="ignore"):

@@ -150,6 +150,23 @@ class TestGenRoundTrips:
         assert rc == 2 and doc is None
         assert f"{option} does not apply to --kind {argv[1]}" in cap.err
 
+    def test_parser_matches_the_fixtures(self):
+        """The parser writes out the kinds and the default target constant,
+        so that no other command loads fixtures: they must equal its own."""
+        from quasimetric import fixtures
+
+        commands = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        options = {a.dest: a for a in commands.choices["gen"]._actions}
+        assert options["kind"].choices == sorted(fixtures.GENERATORS)
+        assert options["target_constant"].help == (
+            f"(default {fixtures.DEFAULT_TARGET_CONSTANT})")
+
+    def test_unknown_kind_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "nope"])
+        assert exc.value.code == 2
+        assert "argument --kind: invalid choice: 'nope'" in capsys.readouterr().err
+
 
 class TestDimension:
     def test_exact_inner_constant(self, tmp_path, capsys):
@@ -754,6 +771,55 @@ class TestHarness:
         rc, doc, _ = run(["gen", "--kind", "line", "--n", "4"], capsys)
         assert rc == 0
         assert doc["matrix"][1][0] == "inf" and doc["matrix"][0][1] == 1
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["validate", "--input", "{cycle8}"], []),
+        (["transform", "--input", "{cycle8}", "--op", "max"], ["transforms"]),
+        (["dimension", "--input", "{cycle8}", "--direction", "outer"], ["cover", "dimension"]),
+        (["cover", "--input", "{cycle8}", "--alpha", "2", "--direction", "outer"], ["cover"]),
+        (["train", "--input", "{cycle8}", "--labels", "{labels}"], ["classifier", "cover"]),
+        (["train", "--input", "{cycle8}", "--labels", "{labels}", "--algo", "iterated"],
+         ["classifier", "cover"]),
+        (["train", "--input", "{far}", "--labels", "{far_labels}", "--algo", "iterated"],
+         ["classifier", "cover", "dimension"]),
+        (["train", "--input", "{far}", "--labels", "{far_labels}", "--algo", "iterated",
+          "--lambda-hat", "2"], ["classifier", "cover"]),
+        (["predict", "--classifier", "{clf}", "--input", "{cycle8}"], ["classifier", "cover"]),
+        (["bound", "--n", "100", "--k", "5", "--delta", "0.05"], ["classifier", "cover"]),
+        (["gen", "--kind", "line"], ["fixtures"]),
+    ], ids=["validate", "transform", "dimension", "cover", "train", "train-iterated",
+            "train-iterated-sweep", "train-iterated-lambda-hat", "predict", "bound", "gen"])
+    def test_command_loads_only_its_modules(self, cycle8, tmp_path, capsys, argv, loaded):
+        """A command loads cli, _text and space and the modules it runs, no
+        other.  Iterated training loads dimension only to sweep for the
+        covering constant: on two classes 31 apart within and 969 apart from
+        each other, lambda_hat 2 and 3 give different schedules."""
+        labels, clf = tmp_path / "labels.txt", tmp_path / "clf.json"
+        save_labels(labels, {i: 1 if i < 4 else -1 for i in range(8)})
+        assert main(["train", "--input", cycle8, "--labels", str(labels),
+                     "--output", str(clf)]) == 0
+        x = np.r_[np.arange(32.0), 1000.0 + np.arange(32.0)]
+        far, far_labels = tmp_path / "far.txt", tmp_path / "far-labels.txt"
+        save_matrix(far, np.abs(x[:, None] - x[None, :]))
+        save_labels(far_labels, {i: 1 if i < 32 else -1 for i in range(64)})
+        capsys.readouterr()
+        script = (
+            "import sys\n"
+            "from quasimetric import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('quasimetric')),\n"
+            "      file=sys.stderr)\n")
+        src = str(Path(quasimetric.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = [a.format(cycle8=cycle8, labels=labels, clf=clf, far=far,
+                         far_labels=far_labels) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        code, *modules = proc.stderr.splitlines()[-1].split()
+        assert code == "0"
+        assert modules == sorted(["quasimetric", "quasimetric._text", "quasimetric.cli",
+                                  "quasimetric.space", *(f"quasimetric.{m}" for m in loaded)])
 
     @pytest.mark.parametrize("argv", [
         ["dimension", "--direction", "outer", "--per-ball"],

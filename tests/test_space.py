@@ -410,7 +410,7 @@ class TestValidate:
         running, finished = threading.Event(), []
 
         def work(share):
-            if list(share) == [0, 2]:  # the caller's share
+            if list(share) == [0, 3]:  # the caller's share
                 assert running.wait(timeout=30)
                 raise Stop
             running.set()
@@ -420,8 +420,28 @@ class TestValidate:
         before = threading.active_count()
         with pytest.raises(Stop):
             _text.in_threads(work, range(4))
-        assert finished == [[1, 3]]
+        assert finished == [[1, 2]]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, shares", [
+        (1, [list(range(10))]),
+        (2, [[0, 3, 4, 7, 8], [1, 2, 5, 6, 9]]),
+        (3, [[0, 5, 6], [1, 4, 7], [2, 3, 8, 9]]),
+        (16, [[i] for i in range(10)]),
+    ])
+    def test_in_threads_deals_in_snake_order(self, monkeypatch, cpus, shares):
+        """Share t takes the items at t and 2s-1-t of every 2s (s shares):
+        items that cost more along the list split evenly, as the half
+        triangle scan's panels do."""
+        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
+        dealt, lock = [], threading.Lock()
+
+        def work(share):
+            with lock:
+                dealt.append(list(share))
+
+        _text.in_threads(work, range(10))
+        assert sorted(dealt) == shares
 
     @given(data=st.data(), n=st.integers(min_value=1, max_value=10),
            relaxed=st.booleans(), closed=st.booleans(),
