@@ -148,21 +148,46 @@ class CompressedClassifier:
 
     @classmethod
     def from_dict(cls, data: dict, space: Optional[QuasiMetric] = None) -> "CompressedClassifier":
-        return cls(
-            kind=data["kind"],
-            direction=Direction(data["direction"]),
-            cover_label=int(data["cover_label"]),
-            cover_ids=[int(i) for i in data["cover_ids"]],
-            threshold=float(data["threshold"]),
-            margins=Margins(**data["margins"]),
-            training_error=float(data["training_error"]),
-            algorithm=data["algorithm"],
-            mode=data["mode"],
-            n=int(data["n"]),
-            eps=data.get("eps"),
-            candidates=[CandidateSummary(**c) for c in data.get("candidates", [])],
-            space=space,
-        )
+        """The classifier ``to_dict`` wrote.  A field missing or of another
+        JSON type, a cover label other than +1 or -1 and a NaN threshold raise
+        ``ValueError`` naming the field; an infinite threshold, "inf", is kept."""
+        f = _fields(data, "classifier", _FIELDS)
+        if not all(type(i) is int for i in f["cover_ids"]):
+            raise ValueError("classifier.cover_ids holds a non-integer")
+        if f["cover_label"] not in (1, -1):
+            raise ValueError(f"classifier.cover_label is neither +1 nor -1: {f['cover_label']!r}")
+        threshold = math.inf if f["threshold"] == "inf" else f["threshold"]
+        if isinstance(threshold, str) or math.isnan(threshold):
+            raise ValueError(f'classifier.threshold is neither a number nor "inf": {threshold!r}')
+        return cls(**{**f, "direction": Direction(f["direction"]), "threshold": float(threshold),
+                      "margins": Margins(**_fields(f["margins"], "classifier.margins", _MARGINS)),
+                      "training_error": float(f["training_error"]),
+                      "candidates": [CandidateSummary(**_fields(c, f"classifier.candidates[{i}]",
+                                                                _CANDIDATE))
+                                     for i, c in enumerate(f["candidates"])]},
+                   space=space)
+
+
+# The JSON types of the fields of a classifier document and of its parts.
+_NUMBER, _NONE = (int, float), type(None)
+_FIELDS = {"kind": (str,), "direction": (str,), "cover_label": (int,), "cover_ids": (list,),
+           "threshold": (*_NUMBER, str), "margins": (dict,), "training_error": _NUMBER,
+           "algorithm": (str,), "mode": (str,), "n": (int,), "eps": (*_NUMBER, _NONE),
+           "candidates": (list,)}
+_MARGINS = {"rho_pm": _NUMBER, "rho_mp": _NUMBER}
+_CANDIDATE = {"kind": (str,), "size": (int, _NONE), "gap": (*_NUMBER, _NONE), "discarded": (bool,)}
+
+
+def _fields(doc, name: str, types: dict) -> dict:
+    """The fields ``types`` names of ``doc``, part ``name`` of a classifier
+    document, if each has one of its types (a bool is no number)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} is not a JSON object but a {type(doc).__name__}")
+    for key, kinds in types.items():
+        value = doc.get(key)
+        if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
+            raise ValueError(f"{name}.{key} is missing or ill-typed: {value!r}")
+    return {key: doc.get(key) for key in types}
 
 
 _KIND_TABLE = {

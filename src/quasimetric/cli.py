@@ -14,7 +14,6 @@ import inspect
 import json
 import math
 import sys
-import time
 from array import array
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
@@ -23,8 +22,8 @@ import numpy as np
 
 from . import _text
 from .space import (Direction, DomainFailure, Mode, QuasiMetric, QueryVectors,
-                    _first_line, _parse_records, diameter, load_edge_list, load_matrix,
-                    nearest, save_edge_list, save_matrix, validate)
+                    _first_line, _parse_records, load_edge_list, load_matrix,
+                    save_edge_list, save_matrix, validate)
 
 # The other modules are imported by the commands that run them, so each
 # command loads (and, with no bytecode cache, compiles) only its own.
@@ -118,22 +117,13 @@ def _load_space(path: str, mode: str) -> QuasiMetric:
     return load(path, mode=Mode(mode))
 
 
-def _reject_unread(args, options: list[str], read, what: str) -> None:
-    """Raise for the first of ``options`` (argparse dests) given a value
-    although it is not in ``read``, the options ``what`` reads."""
-    for dest in options:
-        if getattr(args, dest) is not None and dest not in read:
-            raise ValueError(f"--{dest.replace('_', '-')} does not apply to {what}")
-
-
 def _ids_arg(raw: Optional[str], n: int) -> list[int]:
     if raw is None or raw == "all":
         return list(range(n))
     try:
-        ids = [int(tok) for tok in raw.replace(",", " ").split()]
+        return [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ValueError(f"bad id list {raw!r}") from exc
-    return ids
 
 
 # Symmetrization ops by CLI name.  The functions are looked up in
@@ -209,12 +199,10 @@ def cmd_dimension(args) -> int:
 def cmd_cover(args) -> int:
     from . import cover as _cover
 
-    if args.eps is not None and args.algo != "greedy":
-        raise ValueError(f"--eps applies only to --algo greedy, not {args.algo}")
-    if args.lambda_hat is not None and args.algo != "iterated":
-        raise ValueError(f"--lambda-hat applies only to --algo iterated, not {args.algo}")
-    if args.seed is not None and args.algo != "arbitrary":
-        raise ValueError(f"--seed applies only to --algo arbitrary, not {args.algo}")
+    for dest, algo in [("eps", "greedy"), ("lambda_hat", "iterated"), ("seed", "arbitrary")]:
+        if getattr(args, dest) is not None and args.algo != algo:
+            raise ValueError(f"--{dest.replace('_', '-')} applies only to --algo {algo}, "
+                             f"not {args.algo}")
     qm = _load_space(args.input, args.mode)
     direction = Direction(args.direction)
     target = _ids_arg(args.target, qm.n)
@@ -278,7 +266,7 @@ def _load_classifier(path: str) -> CompressedClassifier:
 
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    data = doc.get("classifier", doc)
+    data = doc.get("classifier", doc) if isinstance(doc, dict) else doc
     return _classifier.CompressedClassifier.from_dict(data)
 
 
@@ -392,8 +380,9 @@ def cmd_gen(args) -> int:
     # Each option names a generator parameter: one the kind's generator lacks
     # is rejected.  n, p and seed have no default there; the rest keep theirs.
     params = inspect.signature(make).parameters
-    _reject_unread(args, ["n", "p", "branching", "seed", "target_constant"], params,
-                   f"--kind {kind}")
+    for dest in ["n", "p", "branching", "seed", "target_constant"]:
+        if getattr(args, dest) is not None and dest not in params:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to --kind {kind}")
     kwargs = {name: value for name, value in [("n", 8), ("p", 3), ("seed", 0)] if name in params}
     kwargs.update((name, getattr(args, name)) for name in params
                   if getattr(args, name) is not None)
@@ -405,82 +394,22 @@ def cmd_gen(args) -> int:
         if fixture.space.mode is Mode.RELAXED:
             payload["note"] = "edge list of a relaxed space; rebuild with --mode relaxed"
     if args.output:
+        header = [f"fixture {kind}", f"mode {fixture.space.mode.value}"]
         if args.out_format == "matrix":
-            save_matrix(args.output, fixture.space.dist,
-                        header=[f"fixture {kind}", f"mode {fixture.space.mode.value}"])
+            save_matrix(args.output, fixture.space.dist, header=header)
         else:
-            save_edge_list(args.output, fixture.space.n, fixture.edges,
-                           header=[f"fixture {kind}", f"mode {fixture.space.mode.value}"])
+            save_edge_list(args.output, fixture.space.n, fixture.edges, header=header)
         payload["saved_to"] = args.output
+    elif args.out_format == "matrix":
+        payload["matrix"] = [[v for v in row] for row in fixture.space.dist]
     else:
-        if args.out_format == "matrix":
-            payload["matrix"] = [[v for v in row] for row in fixture.space.dist]
-        else:
-            payload["edges"] = [[u, v, w] for u, v, w in fixture.edges]
+        payload["edges"] = [[u, v, w] for u, v, w in fixture.edges]
     if args.spec_out:
         with open(args.spec_out, "w", encoding="utf-8") as fh:
             fh.write(_document("gen", {"fixture": payload["fixture"]}))
     emit("gen", payload)
     table(["kind", "n", "mode"],
           [[kind, fixture.space.n, fixture.space.mode.value]])
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from . import cover as _cover, dimension as _dimension, fixtures as _fixtures
-
-    scan = args.fixture == "nn-lower-bound"
-    cover_options = ["sizes", "algo", "lambda_hat", "seed"]
-    _reject_unread(args, ["p", *cover_options], ["p"] if scan else cover_options,
-                   f"--fixture {args.fixture}")
-    algo = args.algo or "greedy"
-    if args.lambda_hat is not None and algo != "iterated":
-        raise ValueError(f"--lambda-hat applies only to --algo iterated, not {algo}")
-    if scan:
-        rows = []
-        p_max = 8 if args.p is None else args.p
-        for p in range(min(3, p_max), p_max + 1):
-            fx = _fixtures.gen_nn_lower_bound(p)
-            t0 = time.perf_counter()
-            res = nearest(fx.space, fx.extras["leaves"], fx.extras["query"],
-                          Direction.INNER)
-            dt = time.perf_counter() - t0
-            rows.append({"p": p, "leaves": len(fx.extras["leaves"]),
-                         "evaluations": res.evaluations,
-                         "found": res.index == fx.extras["designated_leaf"],
-                         "seconds": dt})
-        emit("bench", {"benchmark": "nn-scan", "rows": rows})
-        table(["p", "leaves", "evaluations", "found", "seconds"],
-              [[r["p"], r["leaves"], r["evaluations"], r["found"],
-                f"{r['seconds']:.6f}"] for r in rows])
-        return 0
-
-    sizes = "250,500,1000" if args.sizes is None else args.sizes
-    seed = 7 if args.seed is None else args.seed
-    lam = 8.0 if args.lambda_hat is None else args.lambda_hat
-    rows = []
-    for n in [int(s) for s in sizes.split(",")]:
-        fx = _fixtures.gen_random_bounded(n, seed=seed)
-        qm = fx.space
-        alpha = diameter(qm) / 4.0
-        t0 = time.perf_counter()
-        if algo == "iterated":
-            cov = _cover.iterated_cover(qm, range(qm.n), range(qm.n), alpha,
-                                        Direction.INNER, lam)
-        else:
-            cov = _cover.greedy_cover(qm, range(qm.n), range(qm.n), alpha,
-                                      Direction.INNER)
-        dt = time.perf_counter() - t0
-        budget = qm.n * qm.n * (_dimension.log_star(qm.n) + 1)
-        rows.append({"n": n, "alpha": alpha, "size": cov.size,
-                     "evaluations": cov.stats.distance_evaluations,
-                     "budget": budget,
-                     "within_budget": cov.stats.distance_evaluations <= budget,
-                     "seconds": dt})
-    emit("bench", {"benchmark": "cover-scaling", "algo": algo, "rows": rows})
-    table(["n", "size", "evaluations", "budget", "within", "seconds"],
-          [[r["n"], r["size"], r["evaluations"], r["budget"], r["within_budget"],
-            f"{r['seconds']:.4f}"] for r in rows])
     return 0
 
 
@@ -589,21 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write the space file here")
     p.add_argument("--spec-out", default=None, help="write the fixture spec JSON here")
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="scaling measurements")
-    p.add_argument("--fixture", choices=["nn-lower-bound", "cover-scaling"],
-                   default="cover-scaling")
-    p.add_argument("--p", type=int, default=None,
-                   help="max depth for the nn scan (nn-lower-bound only; default 8)")
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated n (cover-scaling only; default 250,500,1000)")
-    p.add_argument("--algo", choices=["greedy", "iterated"], default=None,
-                   help="(cover-scaling only; default greedy)")
-    p.add_argument("--lambda-hat", type=float, default=None,
-                   help="(cover-scaling --algo iterated only; default 8)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="(cover-scaling only; default 7)")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -124,8 +124,17 @@ def test_c05_iterated_cover_envelope_at_scale():
             budget = n * n * (log_star(n) + 1)
             if not okc or offenders or cov.stats.distance_evaluations > budget:
                 failures.append((n, lam, cov.stats.distance_evaluations, budget))
+    # The greedy cover reads each distance once: n^2 reads, six centers here.
+    for n in (250, 500, 1000):
+        fx = gen_random_bounded(n, seed=7)
+        cov = greedy_cover(fx.space, range(n), range(n), diameter(fx.space) / 4.0,
+                           Direction.INNER)
+        okc, offenders = verify_cover(fx.space, cov, range(n))
+        if not okc or offenders or cov.size != 6 or cov.stats.distance_evaluations != n * n:
+            failures.append((n, "greedy", cov.size, cov.stats.distance_evaluations))
     ok = not failures
-    _finish(5, ok, f"n in (256, 512, 1024) x lambda in (2, 8, default): "
+    _finish(5, ok, f"iterated at n in (256, 512, 1024) x lambda in (2, 8, default), "
+                   f"greedy at n in (250, 500, 1000): "
                    f"{'all verified within budget' if ok else failures}", t0, 120.0)
 
 
@@ -223,7 +232,7 @@ def test_c09_min_symmetrization_violation_and_constant_bounds():
 def test_c10_nearest_neighbor_scan_cost():
     t0 = time.perf_counter()
     problems = []
-    for p in (3, 4, 5):
+    for p in range(3, 9):
         fx = gen_nn_lower_bound(p)
         q, depth = fx.extras["query"], fx.extras["depth"]
         for node in range(len(depth)):
@@ -235,7 +244,7 @@ def test_c10_nearest_neighbor_scan_cost():
         if res.index != fx.extras["designated_leaf"] or res.evaluations != 2 ** p:
             problems.append((p, "scan", res.index, res.evaluations))
     ok = not problems
-    _finish(10, ok, "p in (3, 4, 5): level distances exact, scan finds the "
+    _finish(10, ok, "p in 3..8: level distances exact, scan finds the "
                     "designated leaf in 2^p evaluations" if ok else str(problems),
             t0)
 

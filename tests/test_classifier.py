@@ -15,6 +15,10 @@ from quasimetric.classifier import parse_labels_text
 from conftest import random_quasimetric
 
 
+# A field value that stands for the field's absence.
+ABSENT = object()
+
+
 def four_point_sample():
     """0,1 positive; 2,3 negative; margins (1, 2); all four candidates live."""
     d = np.array([
@@ -260,11 +264,52 @@ class TestPredict:
         with pytest.raises(ValueError, match="space has 5 points, expected 4"):
             predict(clone, 0, space=build_from_matrix(np.ones((5, 5)) - np.eye(5)))
 
-    def test_from_dict_checks_cover_ids(self):
+    @pytest.mark.parametrize("field,value,message", [
+        ("cover_ids", [0, 4], "cover id 4 out of range"),
+        ("cover_ids", 5, "classifier.cover_ids is missing or ill-typed: 5"),
+        ("cover_ids", [0, None], "classifier.cover_ids holds a non-integer"),
+        ("cover_ids", [0, 1.0], "classifier.cover_ids holds a non-integer"),
+        ("cover_ids", [True], "classifier.cover_ids holds a non-integer"),
+        ("kind", ABSENT, "classifier.kind is missing or ill-typed: None"),
+        ("n", "4", "classifier.n is missing or ill-typed: '4'"),
+        ("n", True, "classifier.n is missing or ill-typed: True"),
+        ("eps", "0.1", "classifier.eps is missing or ill-typed: '0.1'"),
+        ("margins", None, "classifier.margins is missing or ill-typed: None"),
+        ("margins", {"rho_pm": 1.0}, "classifier.margins.rho_mp is missing or ill-typed"),
+        ("candidates", [{"kind": 1}], r"classifier.candidates\[0\].kind is missing or ill-typed"),
+        ("candidates", [[]], r"classifier.candidates\[0\] is not a JSON object but a list"),
+        ("cover_label", 5, "classifier.cover_label is neither \\+1 nor -1: 5"),
+        ("cover_label", True, "classifier.cover_label is missing or ill-typed: True"),
+        ("threshold", "nan", "classifier.threshold is neither a number nor \"inf\": 'nan'"),
+        ("threshold", math.nan, "classifier.threshold is neither a number nor \"inf\": nan"),
+        ("threshold", "-inf", "classifier.threshold is neither a number nor \"inf\""),
+        ("threshold", ABSENT, "classifier.threshold is missing or ill-typed: None"),
+    ], ids=["cover-id-range", "cover-ids-int", "cover-id-null", "cover-id-float",
+            "cover-id-bool", "kind-missing", "n-str", "n-bool", "eps-str", "margins-null",
+            "margin-missing", "candidate-kind", "candidate-list", "cover-label-5",
+            "cover-label-bool", "threshold-nan-str", "threshold-nan", "threshold-minus-inf",
+            "threshold-missing"])
+    def test_from_dict_names_the_bad_field(self, field, value, message):
         data = build_classifier(four_point_sample()).to_dict()
-        data["cover_ids"] = [0, 4]
-        with pytest.raises(ValueError, match="cover id 4 out of range"):
+        if value is ABSENT:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=message):
             CompressedClassifier.from_dict(data)
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ValueError, match="classifier is not a JSON object but a list"):
+            CompressedClassifier.from_dict([])
+
+    @pytest.mark.parametrize("threshold", ["inf", math.inf])
+    def test_from_dict_keeps_an_infinite_threshold(self, threshold):
+        data = build_classifier(four_point_sample()).to_dict()
+        data["threshold"] = threshold
+        del data["eps"]  # absent means None
+        clf = CompressedClassifier.from_dict(data)
+        assert clf.threshold == math.inf and clf.eps is None
+        assert predict(clf, QueryVectors(from_query=[9, 9, 9, 9])).label == clf.cover_label
 
     def test_threshold_boundary_keeps_cover_label(self):
         clf = build_classifier(four_point_sample())

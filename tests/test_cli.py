@@ -499,6 +499,32 @@ class TestTrainPredict:
         assert rc == 2 and doc is None
         assert f"lambda_hat only applies to iterated covers, not {algo}" in cap.err
 
+    @pytest.mark.parametrize("document,field", [
+        ([], "classifier is not a JSON object but a list"),
+        ({"classifier": {"margins": None}}, "classifier.kind"),
+        ({"margins": None}, "classifier.margins"),
+        ({"cover_ids": 5}, "classifier.cover_ids"),
+        ({"cover_label": 5}, "classifier.cover_label"),
+        ({"threshold": "nan"}, "classifier.threshold"),
+    ], ids=["list", "empty-classifier", "margins-null", "cover-ids-int", "cover-label-5",
+            "threshold-nan"])
+    def test_malformed_classifier_file_is_usage_error(self, four_point, tmp_path, document,
+                                                      field, capsys):
+        """main returns 2 with one error line naming the bad field; it raised
+        AttributeError or TypeError on four of these, which it does not catch."""
+        labels = self.write_labels(tmp_path)
+        clf_path = tmp_path / "clf.json"
+        run(["train", "--input", four_point, "--labels", labels,
+             "--output", str(clf_path)], capsys)
+        if isinstance(document, dict) and "classifier" not in document:
+            saved = json.loads(clf_path.read_text())
+            document = {**saved, "classifier": {**saved["classifier"], **document}}
+        clf_path.write_text(json.dumps(document))
+        rc, _, cap = run(["predict", "--classifier", str(clf_path), "--input", four_point,
+                          "--ids", "0,1"], capsys)
+        assert rc == 2 and cap.out == ""
+        assert cap.err.startswith(f"error: {field}") and cap.err.count("\n") == 1
+
     def test_eps_mode_flag(self, four_point, tmp_path, capsys):
         labels = self.write_labels(tmp_path)
         rc, doc, _ = run(["train", "--input", four_point, "--labels", labels,
@@ -554,49 +580,35 @@ class TestTransform:
         assert rc == 0
 
 
-class TestBench:
-    def test_nn_scan(self, capsys):
-        rc, doc, _ = run(["bench", "--fixture", "nn-lower-bound", "--p", "4"],
-                         capsys)
-        assert rc == 0
-        rows = doc["rows"]
-        assert [r["p"] for r in rows] == [3, 4]
-        assert all(r["found"] for r in rows)
-        assert [r["evaluations"] for r in rows] == [8, 16]
+class TestOptionSet:
+    """Every subcommand's sorted option dests: a new knob is a declared change."""
 
-    def test_cover_scaling_within_budget(self, capsys):
-        rc, doc, _ = run(["bench", "--fixture", "cover-scaling",
-                          "--sizes", "32,64", "--algo", "greedy"], capsys)
-        assert rc == 0
-        assert all(r["within_budget"] for r in doc["rows"])
+    OPTIONS = {
+        "validate": ["input", "mode", "tolerance"],
+        "dimension": ["constant", "direction", "input", "method", "mode", "per_ball",
+                      "symmetrize"],
+        "cover": ["algo", "alpha", "candidates", "compare", "direction", "eps", "input",
+                  "lambda_hat", "mode", "seed", "target"],
+        "train": ["algo", "eps", "input", "labels", "lambda_hat", "mode", "output"],
+        "predict": ["classifier", "ids", "input", "queries"],
+        "bound": ["delta", "eps", "k", "log_base", "n"],
+        "transform": ["input", "mode", "op", "output", "tolerance"],
+        "gen": ["branching", "kind", "n", "out_format", "output", "p", "seed", "spec_out",
+                "target_constant"],
+    }
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--fixture", "cover-scaling", "--sizes", "16", "--p", "4"],
-         "--p does not apply to --fixture cover-scaling"),
-        (["--fixture", "nn-lower-bound", "--sizes", "16"],
-         "--sizes does not apply to --fixture nn-lower-bound"),
-        (["--fixture", "nn-lower-bound", "--algo", "greedy"],
-         "--algo does not apply to --fixture nn-lower-bound"),
-        (["--fixture", "nn-lower-bound", "--seed", "3"],
-         "--seed does not apply to --fixture nn-lower-bound"),
-        (["--fixture", "nn-lower-bound", "--lambda-hat", "4"],
-         "--lambda-hat does not apply to --fixture nn-lower-bound"),
-        (["--sizes", "16", "--lambda-hat", "1"],
-         "--lambda-hat applies only to --algo iterated, not greedy"),
-        (["--sizes", "16", "--algo", "greedy", "--lambda-hat", "4"],
-         "--lambda-hat applies only to --algo iterated, not greedy"),
-    ], ids=["p", "sizes", "algo", "seed", "lambda-hat-scan", "lambda-hat-default-algo",
-            "lambda-hat-greedy"])
-    def test_unused_option_is_usage_error(self, argv, message, capsys):
-        rc, doc, cap = run(["bench", *argv], capsys)
-        assert rc == 2 and doc is None
-        assert message in cap.err
+    def test_parser_has_exactly_these_options(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        found = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
+                 for name, sub in commands.choices.items()}
+        assert found == self.OPTIONS
+        assert (len(found), sum(map(len, found.values()))) == (8, 51)
 
-    def test_iterated_lambda_hat_is_used(self, capsys):
-        rc, _, cap = run(["bench", "--sizes", "16", "--algo", "iterated",
-                          "--lambda-hat", "1"], capsys)
-        assert rc == 2
-        assert "lambda_hat must be at least 2, got 1.0" in cap.err
+    def test_bench_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestKeyOrder:
