@@ -149,8 +149,10 @@ class CompressedClassifier:
     @classmethod
     def from_dict(cls, data: dict, space: Optional[QuasiMetric] = None) -> "CompressedClassifier":
         """The classifier ``to_dict`` wrote.  A field missing or of another
-        JSON type, a cover label other than +1 or -1 and a NaN threshold raise
-        ``ValueError`` naming the field; an infinite threshold, "inf", is kept."""
+        JSON type, a cover label other than +1 or -1, a NaN threshold, and a
+        ``k``, ``kind`` or ``mode`` that contradicts the fields it restates
+        raise ``ValueError`` naming the field; an infinite threshold, "inf",
+        is kept."""
         f = _fields(data, "classifier", _FIELDS)
         if not all(type(i) is int for i in f["cover_ids"]):
             raise ValueError("classifier.cover_ids holds a non-integer")
@@ -159,21 +161,32 @@ class CompressedClassifier:
         threshold = math.inf if f["threshold"] == "inf" else f["threshold"]
         if isinstance(threshold, str) or math.isnan(threshold):
             raise ValueError(f'classifier.threshold is neither a number nor "inf": {threshold!r}')
-        return cls(**{**f, "direction": Direction(f["direction"]), "threshold": float(threshold),
-                      "margins": Margins(**_fields(f["margins"], "classifier.margins", _MARGINS)),
-                      "training_error": float(f["training_error"]),
-                      "candidates": [CandidateSummary(**_fields(c, f"classifier.candidates[{i}]",
-                                                                _CANDIDATE))
-                                     for i, c in enumerate(f["candidates"])]},
-                   space=space)
+        k = f.pop("k")
+        clf = cls(**{**f, "direction": Direction(f["direction"]), "threshold": float(threshold),
+                     "margins": Margins(**_fields(f["margins"], "classifier.margins", _MARGINS)),
+                     "training_error": float(f["training_error"]),
+                     "candidates": [CandidateSummary(**_fields(c, f"classifier.candidates[{i}]",
+                                                               _CANDIDATE))
+                                    for i, c in enumerate(f["candidates"])]},
+                  space=space)
+        own = "pos" if clf.cover_label > 0 else "neg"
+        kind = next(kind for kind, (class_key, direction, _) in _KIND_TABLE.items()
+                    if (class_key, direction) == (own, clf.direction))
+        for name, value, basis, made in (
+                ("k", k, "cover_ids", clf.k),
+                ("kind", clf.kind, "cover_label and direction", kind),
+                ("mode", clf.mode, "eps", "consistent" if clf.eps is None else "eps")):
+            if value != made:
+                raise ValueError(f"classifier.{name} is {value!r} but from {basis} it is {made!r}")
+        return clf
 
 
 # The JSON types of the fields of a classifier document and of its parts.
 _NUMBER, _NONE = (int, float), type(None)
 _FIELDS = {"kind": (str,), "direction": (str,), "cover_label": (int,), "cover_ids": (list,),
-           "threshold": (*_NUMBER, str), "margins": (dict,), "training_error": _NUMBER,
-           "algorithm": (str,), "mode": (str,), "n": (int,), "eps": (*_NUMBER, _NONE),
-           "candidates": (list,)}
+           "threshold": (*_NUMBER, str), "k": (int,), "margins": (dict,),
+           "training_error": _NUMBER, "algorithm": (str,), "mode": (str,), "n": (int,),
+           "eps": (*_NUMBER, _NONE), "candidates": (list,)}
 _MARGINS = {"rho_pm": _NUMBER, "rho_mp": _NUMBER}
 _CANDIDATE = {"kind": (str,), "size": (int, _NONE), "gap": (*_NUMBER, _NONE), "discarded": (bool,)}
 

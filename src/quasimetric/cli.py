@@ -238,7 +238,7 @@ def cmd_cover(args) -> int:
 def cmd_train(args) -> int:
     from . import classifier as _classifier
 
-    qm = _load_space(args.input, args.mode)
+    qm = _load_space(args.input, "strict")  # build_classifier needs a strict space
     labels = _classifier.load_labels(args.labels)
     sample = _classifier.make_sample(qm, labels)
     clf = _classifier.build_classifier(sample, algorithm=args.algo, eps=args.eps,
@@ -353,7 +353,7 @@ def cmd_bound(args) -> int:
 def cmd_transform(args) -> int:
     from . import transforms as _transforms
 
-    qm = _load_space(args.input, args.mode)
+    qm = _load_space(args.input, "strict")  # every symmetrization needs a strict space
     sym = _symmetrize(qm, args.op)
     report = _transforms.check_symmetric_axioms(sym, tolerance=args.tolerance)
     payload = {"n": sym.n, "op": args.op, "kind": sym.kind.value,
@@ -417,9 +417,11 @@ def cmd_gen(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_space_args(p: argparse.ArgumentParser) -> None:
+def _add_space_args(p: argparse.ArgumentParser, relaxed: bool = True) -> None:
+    """``--input``, and ``--mode`` for a command that runs on relaxed spaces."""
     p.add_argument("--input", required=True, help="space file (matrix or edge list)")
-    p.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
+    if relaxed:
+        p.add_argument("--mode", choices=["strict", "relaxed"], default="strict")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("train", help="build a compression classifier")
-    _add_space_args(p)
+    _add_space_args(p, relaxed=False)
     p.add_argument("--labels", required=True, help="labels file (lines: id +1/-1)")
     p.add_argument("--algo", choices=["greedy", "iterated", "arbitrary"],
                    default="greedy")
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("transform", help="symmetrize a space")
-    _add_space_args(p)
+    _add_space_args(p, relaxed=False)
     p.add_argument("--op", choices=list(_SYMMETRIZATIONS), required=True)
     p.add_argument("--output", default=None, help="write the matrix here")
     p.add_argument("--tolerance", type=float, default=None)

@@ -72,15 +72,11 @@ class ConstantEstimate(Record):
 
 
 # Largest unpacked boolean coverage block (entries x candidates x members,
-# members padded to whole words) that the greedy sweep builds from one
-# center's balls; a center with more radii splits them, so memory stays
-# O(n^2) rather than the O(n^3) of all its balls together.
-_BLOCK_CAP = 1 << 22
-
-# The balls of consecutive centers share a block while it stays within
-# this size: at n = 80 (0.8 M bits per center) blocks of three centers swept
-# fastest, and blocks of five, outgrowing the cache, slower than one.
-_GATHER_CAP = 3 << 20
+# members padded to whole words) of one batch of the greedy sweep: about four
+# centers' balls at n = 80 (0.8 M bits per center), where, on one host,
+# blocks of three centers swept fastest and blocks of five, outgrowing the
+# cache, slower than one.
+_BLOCK_CAP = 3 << 20
 
 
 def _critical_radii(ranked: np.ndarray) -> np.ndarray:
@@ -111,56 +107,46 @@ def _greedy_sweep(d: np.ndarray):
     OUTER ball, as three arrays per block, blocks in sweep order.
 
     Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``.
-    The packed balls of consecutive centers gather into one block until the
-    next center's would push it past ``_GATHER_CAP``; one batch of the
-    greedy kernel then covers the block, each size being its entry's round
+    Every center's table spans all n points in that center's sorted order,
+    padded to whole 64-bit words, so every entry has one width; the entries
+    stream into blocks of ``_BLOCK_CAP // (n * 64 * words)`` (at least one),
+    a center's radii splitting where they do not fit, and one batch of the
+    greedy kernel covers each block, each size being its entry's round
     count.  A center's table is read from ``d`` only once its first radii
     join a block, so a consumer that stops taking blocks has read the
     tables of the centers it was given and no other.
     """
     n = d.shape[0]
-    block, entries, width = [], 0, 0
+    words = -(-n // 64)
+    step = max(1, _BLOCK_CAP // (n * 64 * words))
+    block, entries = [], 0
     for center, perm, rs, members in _balls(d):
-        # Whole 64-bit words per candidate row; the inf padding lies in no ball.
-        words = -(-members[-1] // 64)
-        step = max(1, _BLOCK_CAP // (n * 64 * words))
-        for lo in range(0, rs.size, step):
-            chunk = rs[lo:lo + step]
-            if block and (entries + chunk.size) * n * 64 * max(width, words) > _GATHER_CAP:
-                yield _block_sizes(block, entries, width)
-                block, entries, width = [], 0, 0
-            if not lo:
-                table = np.full((n, 64 * words), np.inf)
-                table[:, :members[-1]] = d[:, perm[:members[-1]]]
-            block.append((*_cover._packed(table, chunk / 2.0, members[lo:lo + step]),
-                          perm, center, chunk))
-            entries, width = entries + chunk.size, max(width, words)
+        table = np.full((n, 64 * words), np.inf)  # the inf padding lies in no ball
+        table[:, :n] = d[:, perm]
+        cuts = range(step - entries, rs.size, step)
+        for chunk, sizes in zip(np.split(rs, cuts), np.split(members, cuts)):
+            block.append((*_cover._packed(table, chunk / 2.0, sizes), perm, center, chunk))
+            entries += chunk.size
+            if entries == step:
+                yield _block_sizes(block)
+                block, entries = [], 0
     if block:
-        yield _block_sizes(block, entries, width)
+        yield _block_sizes(block)
 
 
-def _block_sizes(block: list, entries: int, width: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers, radii and greedy cover sizes of the ``entries`` entries of
-    ``block``, a list of ``(covers, active, perm, center, radii)`` pieces,
-    ``covers`` and ``active`` from ``cover._packed``, in one batch of the
-    greedy kernel.  A piece's rows are padded to ``width`` with zero words,
-    which no ball covers and no entry needs covered."""
-    covers, active = block[0][:2]
-    if len(block) > 1:
-        covers = np.zeros((entries, width, covers.shape[2]), np.uint64)
-        active = np.zeros((entries, width), np.uint64)
-        at = 0
-        for piece_covers, piece_active, *_ in block:
-            covers[at:at + len(piece_active), :piece_active.shape[1]] = piece_covers
-            active[at:at + len(piece_active), :piece_active.shape[1]] = piece_active
-            at += len(piece_active)
-    ids = [perm for _, piece_active, perm, *_ in block for _ in piece_active]
-    centers = np.concatenate([np.full(radii.size, center) for *_, center, radii in block])
-    radii = np.concatenate([radii for *_, radii in block])
-    picks = _cover._greedy_rounds(covers, active, ids, (radii / 2.0).tolist())
-    return centers, radii, np.bincount(np.concatenate([live for live, _ in picks]),
-                                       minlength=entries)
+def _block_sizes(block: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers, radii and greedy cover sizes of the entries of ``block``, a
+    list of ``(covers, active, perm, center, radii)`` pieces, ``covers`` and
+    ``active`` from ``cover._packed`` and of one width, in one batch of the
+    greedy kernel."""
+    covers, active, perms, centers, radii = zip(*block)
+    counts = [r.size for r in radii]
+    ids = [perm for perm, count in zip(perms, counts) for _ in range(count)]
+    radii = np.concatenate(radii)
+    picks = _cover._greedy_rounds(np.concatenate(covers), np.concatenate(active), ids,
+                                  (radii / 2.0).tolist())
+    return np.repeat(centers, counts), radii, np.bincount(
+        np.concatenate([live for live, _ in picks]), minlength=radii.size)
 
 
 def _constant(qm: QuasiMetric, quantity: str, method: str,

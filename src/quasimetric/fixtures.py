@@ -18,8 +18,6 @@ import numpy as np
 
 from .space import Direction, Mode, QuasiMetric, Record, build_from_matrix
 
-INF = math.inf
-
 
 @dataclass(frozen=True)
 class ExpectedProperty(Record):
@@ -64,7 +62,7 @@ def gen_line(n: int) -> Fixture:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = np.full((n, n), INF)
+    d = np.full((n, n), np.inf)
     for i in range(n):
         d[i, i:] = np.arange(n - i, dtype=np.float64)
     space = build_from_matrix(d, mode=Mode.RELAXED)
@@ -163,7 +161,7 @@ def gen_hst_toward_root(p: int, branching: int = 2) -> Fixture:
         raise ValueError("branching must be at least 2")
     level_start, depth, parent = _tree_layout(p, branching)
     total = len(depth)
-    d = np.full((total, total), INF)
+    d = np.full((total, total), np.inf)
     np.fill_diagonal(d, 0.0)
     _fill_toward_root(d, depth, parent)
     edges = [(node, parent[node], _edge_length(depth[node])) for node in range(1, total)]
@@ -195,7 +193,7 @@ def gen_spoke_subset(p: int, branching: int = 2) -> Fixture:
     leaf_count = branching ** p
     n = leaf_count + 1
     spoke_len = 2.0 - 2.0 ** (1 - p)
-    d = np.full((n, n), INF)
+    d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     d[1:, 0] = spoke_len
     space = build_from_matrix(d, mode=Mode.RELAXED)
@@ -244,7 +242,7 @@ def gen_nn_lower_bound(p: int) -> Fixture:
     n_tree = len(depth)
     query = n_tree
     n = n_tree + 1
-    d = np.full((n, n), INF)
+    d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)
     _fill_toward_root(d, depth, parent)
     delta = 2.0 ** (-(p + 4))

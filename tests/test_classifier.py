@@ -284,11 +284,20 @@ class TestPredict:
         ("threshold", math.nan, "classifier.threshold is neither a number nor \"inf\": nan"),
         ("threshold", "-inf", "classifier.threshold is neither a number nor \"inf\""),
         ("threshold", ABSENT, "classifier.threshold is missing or ill-typed: None"),
+        ("k", ABSENT, "classifier.k is missing or ill-typed: None"),
+        ("k", "1", "classifier.k is missing or ill-typed: '1'"),
+        ("k", 999, "classifier.k is 999 but from cover_ids it is 1"),
+        ("kind", "pos-outer",
+         "classifier.kind is 'pos-outer' but from cover_label and direction it is 'pos-inner'"),
+        ("kind", "nonsense", "classifier.kind is 'nonsense' but from cover_label and direction"),
+        ("mode", "eps", "classifier.mode is 'eps' but from eps it is 'consistent'"),
+        ("eps", 0.25, "classifier.mode is 'consistent' but from eps it is 'eps'"),
     ], ids=["cover-id-range", "cover-ids-int", "cover-id-null", "cover-id-float",
             "cover-id-bool", "kind-missing", "n-str", "n-bool", "eps-str", "margins-null",
             "margin-missing", "candidate-kind", "candidate-list", "cover-label-5",
             "cover-label-bool", "threshold-nan-str", "threshold-nan", "threshold-minus-inf",
-            "threshold-missing"])
+            "threshold-missing", "k-missing", "k-str", "k-not-cover-size", "kind-other",
+            "kind-unknown", "mode-eps-without-eps", "eps-in-consistent-mode"])
     def test_from_dict_names_the_bad_field(self, field, value, message):
         data = build_classifier(four_point_sample()).to_dict()
         if value is ABSENT:

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -506,8 +508,9 @@ class TestTrainPredict:
         ({"cover_ids": 5}, "classifier.cover_ids"),
         ({"cover_label": 5}, "classifier.cover_label"),
         ({"threshold": "nan"}, "classifier.threshold"),
+        ({"kind": "neg-inner"}, "classifier.kind"),
     ], ids=["list", "empty-classifier", "margins-null", "cover-ids-int", "cover-label-5",
-            "threshold-nan"])
+            "threshold-nan", "kind-contradicts"])
     def test_malformed_classifier_file_is_usage_error(self, four_point, tmp_path, document,
                                                       field, capsys):
         """main returns 2 with one error line naming the bad field; it raised
@@ -589,10 +592,10 @@ class TestOptionSet:
                       "symmetrize"],
         "cover": ["algo", "alpha", "candidates", "compare", "direction", "eps", "input",
                   "lambda_hat", "mode", "seed", "target"],
-        "train": ["algo", "eps", "input", "labels", "lambda_hat", "mode", "output"],
+        "train": ["algo", "eps", "input", "labels", "lambda_hat", "output"],
         "predict": ["classifier", "ids", "input", "queries"],
         "bound": ["delta", "eps", "k", "log_base", "n"],
-        "transform": ["input", "mode", "op", "output", "tolerance"],
+        "transform": ["input", "op", "output", "tolerance"],
         "gen": ["branching", "kind", "n", "out_format", "output", "p", "seed", "spec_out",
                 "target_constant"],
     }
@@ -602,13 +605,57 @@ class TestOptionSet:
         found = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
                  for name, sub in commands.choices.items()}
         assert found == self.OPTIONS
-        assert (len(found), sum(map(len, found.values()))) == (8, 51)
+        assert (len(found), sum(map(len, found.values()))) == (8, 49)
+
+    @pytest.mark.parametrize("argv", [["train", "--labels", "y.txt"],
+                                      ["transform", "--op", "max"]], ids=["train", "transform"])
+    def test_strict_only_commands_take_no_mode(self, argv, capsys):
+        # Both need a strict space, so relaxed never ran there.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", "x.txt", "--mode", "relaxed"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode relaxed" in capsys.readouterr().err
 
     def test_bench_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestKnobSet:
+    """Every submodule's module-level numeric constant: adding, dropping or
+    retuning one is a declared change."""
+
+    KNOBS = {
+        "_text.FORMAT_LEAD": 1 << 15,
+        "_text.FORMAT_MIN": 3 << 14,
+        "_text.RANGE_MIN": 3 << 19,
+        "_text._EXIT_WAIT_S": 30.0,
+        "_text._FORMAT_BLOCK": 1 << 10,
+        "_text._READ": 1 << 16,
+        "cli.SCHEMA": 1,
+        "cover.EXACT_SIZE_CAP": 16,
+        "cover._CHAIN_RTOL": 1e-9,
+        "dimension._BLOCK_CAP": 3 << 20,
+        "fixtures.CHECK_CAP": 64,
+        "fixtures.DEFAULT_TARGET_CONSTANT": 8,
+        "fixtures._RETRIES": 5,
+        "space.DEFAULT_TOLERANCE": 1e-9,
+        "space._MAX_REPORTED": 1000,
+        "space._SCAN_BLOCK_CAP": 1 << 15,
+        "space._SCAN_GROUP_ROWS": 4,
+    }
+
+    def test_package_has_exactly_these_knobs(self):
+        found = {}
+        for info in pkgutil.iter_modules(quasimetric.__path__):
+            module = importlib.import_module(f"quasimetric.{info.name}")
+            found.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
+                         if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
+                         and isinstance(value, (int, float)) and not isinstance(value, bool))
+        assert found == self.KNOBS
+        assert len(found) == 17
 
 
 class TestKeyOrder:

@@ -50,13 +50,13 @@ def assert_matches_reference(est, rows):
 
 
 def spy_blocks(monkeypatch) -> list:
-    """Record, per call of the greedy kernel, the centers of its entries (a
-    center's permutation starts with itself on these zero-diagonal spaces
-    without ties at 0)."""
+    """Record, per call of the greedy kernel, the center of each of its
+    entries in order (a center's permutation starts with itself on these
+    zero-diagonal spaces without ties at 0)."""
     blocks, kernel = [], dimension._cover._greedy_rounds
 
     def spy(covers, active, ids, *args):
-        blocks.append({int(perm[0]) for perm in ids})
+        blocks.append([int(perm[0]) for perm in ids])
         return kernel(covers, active, ids, *args)
 
     monkeypatch.setattr(dimension._cover, "_greedy_rounds", spy)
@@ -216,43 +216,41 @@ class TestDirectionalConstant:
            entries=st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
     def test_greedy_kernel_matches_reference_in_blocks(self, qm, direction, entries):
-        # Blocks of at most ``entries`` one-word balls: several centers per
-        # block, or one center's radii split over several.
+        # Blocks of ``entries`` one-word balls: several centers per block,
+        # or one center's radii split over several.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dimension, "_BLOCK_CAP", entries * qm.n * 64)
-            patch.setattr(dimension, "_GATHER_CAP", entries * qm.n * 64)
             est = directional_constant(qm, direction)
         assert_matches_reference(est, greedy_reference(qm, direction))
 
-    @pytest.mark.parametrize("per_block", [2, 3])
-    def test_blocks_of_two_or_three_centers_match_reference(self, per_block, monkeypatch):
-        # Every center of this n = 40 ring has 39 radii, one word wide.
+    @pytest.mark.parametrize("per_block", [10, 25, 50])
+    def test_blocks_of_a_fixed_entry_count_match_reference(self, per_block, monkeypatch):
+        # Every center of this n = 40 ring has 39 radii, one word wide, and
+        # no block size here divides 39, so some center's radii straddle two
+        # blocks.
         qm = gen_random_bounded(40, 3).space
-        monkeypatch.setattr(dimension, "_GATHER_CAP", per_block * 39 * 40 * 64)
+        monkeypatch.setattr(dimension, "_BLOCK_CAP", per_block * 40 * 64)
         blocks = spy_blocks(monkeypatch)
         for direction in Direction:
             blocks.clear()
             assert_matches_reference(directional_constant(qm, direction),
                                      greedy_reference(qm, direction))
-            assert [len(b) for b in blocks] == [per_block] * (40 // per_block) + \
-                [40 % per_block] * (40 % per_block > 0)
+            assert [len(b) for b in blocks] == [per_block] * (40 * 39 // per_block) + \
+                [40 * 39 % per_block] * (40 * 39 % per_block > 0)
+            assert any(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert sum(blocks, []) == [c for c in range(40) for _ in range(39)]
 
-    @pytest.mark.parametrize("direction,gather_cap,mixed", [
-        (Direction.OUTER, 80 * 128 * 128, {15, 16}),
-        (Direction.INNER, 80 * 128 * 130, {63, 64}),
+    @pytest.mark.parametrize("direction,edge", [
+        (Direction.OUTER, {15, 16}),
+        (Direction.INNER, {63, 64}),
     ])
-    def test_block_of_one_and_two_word_balls(self, direction, gather_cap, mixed,
-                                             monkeypatch):
+    def test_block_of_one_and_two_word_balls(self, direction, edge):
         # On the n = 80 line the OUTER balls of centers up to 15 reach past
         # 64 points and those from 16 on do not; INNER mirrors this at 63 and
-        # 64.  The cap puts the two centers ``mixed`` in one block, so the
-        # narrower one's words are padded.
+        # 64.  Every table spans all 80 points, two words.
         qm = gen_line(80).space
-        monkeypatch.setattr(dimension, "_GATHER_CAP", gather_cap)
-        blocks = spy_blocks(monkeypatch)
         est = directional_constant(qm, direction)
-        assert any(mixed <= b for b in blocks)
-        centers = sorted(mixed | {min(mixed) - 1, max(mixed) + 1})
+        centers = sorted(edge | {min(edge) - 1, max(edge) + 1})
         assert [row for row in est.per_ball if row[0] in centers] == \
             greedy_reference(qm, direction, centers)
 
