@@ -1,4 +1,4 @@
-"""The text rules of data files, and the one place work spreads over cores.
+"""The text rules of input files, and the one place work spreads over cores.
 
 Input: this module defines once which lines of a file are data lines
 (:func:`data_lines`) and how a matrix row or a query side becomes float64
@@ -6,16 +6,15 @@ values (:func:`append_row`).  The serial parsers in ``space`` and ``cli``
 call both, and so does :func:`parse_in_ranges`, which converts the body
 of a large matrix or query file on several cores.
 
-Output: :func:`format_rows` is the one rule for a matrix file's rows.
-``space.save_matrix`` writes through :func:`write_rows`, which formats a
-large matrix's rows in ranges on several cores, with the same bytes.
+Output is not here: ``space.save_matrix`` formats a matrix file's rows
+in-process with numpy (``_format``).
 
 Cores: :func:`_usable_cpus` is the one CPU count and :func:`in_threads` the
-one thread fan-out.  The parse and format workers are this file run as a
-script, and each replies in one format: a line ``nbytes [int ...]``, then
-exactly ``nbytes`` bytes, then exit status 0.  The module imports only the
-standard library (``threading`` and ``subprocess`` once work is split), so
-a worker starts in milliseconds.
+one thread fan-out.  The parse workers are this file run as a script, and
+each replies in one format: a line ``nbytes [int ...]``, then exactly
+``nbytes`` bytes, then exit status 0.  The module imports only the standard
+library (``threading`` and ``subprocess`` once work is split), so a worker
+starts in milliseconds.
 """
 
 from __future__ import annotations
@@ -34,18 +33,8 @@ from collections.abc import Callable, Iterator, Sequence
 # split in two so parsed in 0.131 s against 0.189 s serially (medians of 9).
 RANGE_MIN = 3 << 19
 
-# A matrix is written in min(CPUs, entries // FORMAT_MIN) ranges.  The first,
-# formatted in-process, is FORMAT_LEAD entries longer than the others: they
-# are formatted while the workers start (about 30 ms).  On a 2-vCPU host, two
-# ranges wrote n = 500 in 0.14 s against 0.21 s serially and n = 1000 in
-# 0.48 s against 0.85 s (medians of 5), and broke even near n = 300.
-FORMAT_MIN = 3 << 14
-FORMAT_LEAD = 1 << 15
-
 # Bytes read at a time; the header's line must end within the first read.
 _READ = 1 << 16
-# Entries formatted at a time: the rows' floats and text stay small.
-_FORMAT_BLOCK = 1 << 10
 # Seconds a worker that has sent its whole output gets to exit.
 _EXIT_WAIT_S = 30.0
 
@@ -180,13 +169,12 @@ def _reap(procs: list) -> None:
             proc.kill()  # does nothing to a worker already reaped
 
 
-def _send(chunks: list, *ints: int) -> int:
-    """Write a worker's reply, the bytes-like ``chunks`` after the line
+def _send(data, *ints: int) -> int:
+    """Write a worker's reply, the bytes-like ``data`` after the line
     ``nbytes ints...``, to stdout; return exit status 0."""
     out = sys.stdout.buffer
-    size = sum(memoryview(chunk).nbytes for chunk in chunks)
-    out.write(" ".join(map(str, [size, *ints])).encode() + b"\n")
-    out.writelines(chunks)
+    out.write(" ".join(map(str, [memoryview(data).nbytes, *ints])).encode() + b"\n")
+    out.write(data)
     out.flush()
     return 0
 
@@ -324,92 +312,8 @@ def _parse_worker(argv: list[str]) -> int:
     fd, start, stop, width, query = map(int, argv)
     values, dashes = array("d"), []
     count = parse_range(fd, start, stop, width, bool(query), values, dashes)
-    return _send([values], count, *dashes)
-
-
-def format_rows(rows: memoryview) -> bytes:
-    """The text of the rows of ``rows``, a 2-D float64 memoryview: each
-    entry as ``"%.17g"`` writes it, except that -inf is written as ``inf``;
-    one space between entries and one `\\n` after each row."""
-    line = b" ".join([b"%.17g"] * rows.shape[1]) + b"\n"
-    text = b"".join([line % tuple(row) for row in rows.tolist()])
-    return text.replace(b"-inf", b"inf")  # no other "%.17g" output holds "inf"
-
-
-def _format_range(write, rows: memoryview) -> None:
-    """``write`` the text of ``rows`` a few rows at a time."""
-    step = max(1, _FORMAT_BLOCK // rows.shape[1])
-    for start in range(0, rows.shape[0], step):
-        write(format_rows(rows[start:start + step]))
-
-
-def write_rows(out, rows: memoryview) -> None:
-    """Write the text of every row of ``rows`` (a 2-D float64 memoryview, any
-    strides) to the binary file ``out``, as :func:`format_rows` writes it.
-
-    A regular file receives a large matrix in up to
-    ``min(CPUs, entries // FORMAT_MIN)`` row ranges.  A fresh ``python -I -S``
-    worker starts for each range but the first, whose ``FORMAT_LEAD`` head
-    start is formatted here meanwhile.  Each worker is then fed the raw
-    float64 of its rows a block at a time and formats them into its own
-    memory while the rest of the first range is formatted here.  The
-    workers' texts are copied in range order; a range whose worker cannot
-    start or sends no whole reply is formatted here instead.  Every worker
-    is reaped before this returns.
-    """
-    count, width = rows.shape
-    ranges = min(_usable_cpus(), count * width // FORMAT_MIN)
-    if ranges < 2 or not stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-        _format_range(out.write, rows)
-        return
-
-    lead = min(count, FORMAT_LEAD // width)
-    cuts = sorted({0, count, *(lead + (count - lead) * i // ranges for i in range(1, ranges))})
-    procs = []
-    try:
-        for start, stop in zip(cuts[1:], cuts[2:]):
-            procs.append(_start(["format", stop - start, width]))
-        _format_range(out.write, rows[:lead])
-        for start, stop, proc in zip(cuts[1:], cuts[2:], procs):
-            if proc is not None:
-                _feed(proc.stdin, rows[start:stop])
-        _format_range(out.write, rows[lead:cuts[1]])
-        for start, stop, proc in zip(cuts[1:], cuts[2:], procs):
-            mark = out.tell()
-            if proc is None or _receive(proc, out.write) is None:
-                out.seek(mark)
-                out.truncate()
-                _format_range(out.write, rows[start:stop])
-    finally:
-        _reap(procs)
-
-
-def _feed(pipe, rows: memoryview) -> None:
-    """Write the raw float64 of ``rows`` to ``pipe`` a block at a time and
-    close it.  A worker that stops reading fails its reply check later."""
-    step = max(1, _READ // 8 // rows.shape[1])
-    try:
-        with pipe:
-            for start in range(0, rows.shape[0], step):
-                pipe.write(rows[start:start + step].tobytes())
-    except OSError:  # a broken pipe: the worker has gone
-        pass
-
-
-def _format_worker(argv: list[str]) -> int:
-    """Read ``count × width`` raw float64 from stdin, format them, and send
-    the text with the reply line ``nbytes``; exit status 1, with nothing
-    sent, if stdin holds anything else."""
-    count, width = map(int, argv)
-    data = sys.stdin.buffer.read(8 * count * width)
-    if len(data) != 8 * count * width or sys.stdin.buffer.read(1):
-        return 1
-    chunks = []
-    _format_range(chunks.append, memoryview(data).cast("d", (count, width)))
-    return _send(chunks)
+    return _send(values, count, *dashes)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["format"]:
-        sys.exit(_format_worker(sys.argv[2:]))
     sys.exit(_parse_worker(sys.argv[1:]))

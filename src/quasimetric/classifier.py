@@ -28,7 +28,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import _text
-from . import cover as _cover
 from .space import (Direction, DomainFailure, QuasiMetric, Record, _candidate_reads,
                     _clean_ids, _nearest_centers, _require_strict, set_distance)
 
@@ -231,6 +230,8 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     size break in the fixed order pos-outer, neg-inner, pos-inner,
     neg-outer.
     """
+    from . import cover as _cover  # predict and bound never load it
+
     qm = sample.space
     _require_strict(qm, "build_classifier")
     if algorithm not in ("greedy", "iterated", "arbitrary"):

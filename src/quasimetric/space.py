@@ -633,8 +633,8 @@ def _comment_lines(header: Iterable[str]) -> str:
 
 
 def save_matrix(path, matrix, header: Iterable[str] = ()) -> None:
-    """Write a matrix file, each entry as :func:`format_value` writes it; a
-    large matrix's rows are formatted on several cores, with the same bytes.
+    """Write a matrix file, each entry as :func:`format_value` writes it;
+    numpy formats the rows a chunk at a time, in this process.
 
     ValueError, before the file is opened, unless ``matrix`` is a non-empty
     square 2-D matrix and every header line is one line.
@@ -643,9 +643,11 @@ def save_matrix(path, matrix, header: Iterable[str] = ()) -> None:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
         raise ValueError(f"a matrix file holds a non-empty square matrix, got shape {arr.shape}")
     head = (_comment_lines(header) + f"{arr.shape[0]}\n").encode("utf-8")
+    from . import _format  # only a command that writes a matrix loads it
+
     with open(path, "wb") as fh:
         fh.write(head)
-        _text.write_rows(fh, memoryview(arr))
+        _format.write_rows(fh, arr)
 
 
 def save_edge_list(path, n: int, edges: Sequence[tuple[int, int, float]],

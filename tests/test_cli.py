@@ -628,11 +628,9 @@ class TestKnobSet:
     retuning one is a declared change."""
 
     KNOBS = {
-        "_text.FORMAT_LEAD": 1 << 15,
-        "_text.FORMAT_MIN": 3 << 14,
+        "_format._CHUNK": 1 << 11,
         "_text.RANGE_MIN": 3 << 19,
         "_text._EXIT_WAIT_S": 30.0,
-        "_text._FORMAT_BLOCK": 1 << 10,
         "_text._READ": 1 << 16,
         "cli.SCHEMA": 1,
         "cover.EXACT_SIZE_CAP": 16,
@@ -655,7 +653,7 @@ class TestKnobSet:
                          if re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name)
                          and isinstance(value, (int, float)) and not isinstance(value, bool))
         assert found == self.KNOBS
-        assert len(found) == 17
+        assert len(found) == 15
 
 
 class TestKeyOrder:
@@ -843,8 +841,8 @@ class TestHarness:
          ["classifier", "cover", "dimension"]),
         (["train", "--input", "{far}", "--labels", "{far_labels}", "--algo", "iterated",
           "--lambda-hat", "2"], ["classifier", "cover"]),
-        (["predict", "--classifier", "{clf}", "--input", "{cycle8}"], ["classifier", "cover"]),
-        (["bound", "--n", "100", "--k", "5", "--delta", "0.05"], ["classifier", "cover"]),
+        (["predict", "--classifier", "{clf}", "--input", "{cycle8}"], ["classifier"]),
+        (["bound", "--n", "100", "--k", "5", "--delta", "0.05"], ["classifier"]),
         (["gen", "--kind", "line"], ["fixtures"]),
     ], ids=["validate", "transform", "dimension", "cover", "train", "train-iterated",
             "train-iterated-sweep", "train-iterated-lambda-hat", "predict", "bound", "gen"])

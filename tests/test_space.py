@@ -1,14 +1,17 @@
+import io
 import json
 import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from quasimetric import (Cover, CoverStats, Direction, Mode, QuasiMetric, QueryV
                          iterated_cover, make_sample, nearest, predict,
                          set_distance, subspace, to_min_semimetric, transpose, validate,
                          verify_cover)
-from quasimetric import _text
+from quasimetric import _format, _text
 from quasimetric import space as space_module
 from quasimetric.cli import parse_queries_text
 from quasimetric.space import (_MAX_REPORTED, ValidationReport, _nearest_centers,
@@ -974,6 +977,18 @@ class TestParallelParse:
 
     PARSERS = TestStreamingParsers.PARSERS
 
+    def test_text_module_loads_no_numpy(self):
+        """A parse worker is ``_text.py`` run by ``python -I -S``: the module
+        imports only the standard library, so no worker loads numpy."""
+        script = (
+            "import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('_text', sys.argv[1])\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print('numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-I", "-S", "-c", script, _text.__file__],
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout == "False\n"
+
     @pytest.fixture
     def split(self, monkeypatch):
         """The list of whether each parse since took the parallel path."""
@@ -1158,97 +1173,133 @@ def started(monkeypatch):
     return starts
 
 
-class TestParallelWrite:
-    """Matrices written in row ranges by format workers against the
-    per-entry writer.  ``FORMAT_MIN`` is patched down to 1 entry, so
-    matrices of a few entries are split."""
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    @given(n=st.integers(min_value=1, max_value=6), data=st.data(),
-           transposed=st.booleans(),
-           header=st.lists(st.text(st.characters(blacklist_categories=["Cs", "Cc", "Zl", "Zp"]),
-                                   max_size=8), max_size=2))
-    @settings(max_examples=25, deadline=None,
+
+def decimal_tie(k: int, j: int) -> float:
+    """The double nearest ``(10 k + 5) / 10**j``: for 17-digit ``k``, a value
+    whose 18th significant digit is 5, on either side of the tie."""
+    return float(Fraction(10 * k + 5, 10 ** j))
+
+
+def power_neighbour(j: int, steps: int) -> float:
+    """The double ``steps`` places from the one nearest ``10**j``."""
+    x = float(Fraction(10) ** j)
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(INF, steps))
+    return x
+
+
+WRITER_SPECIALS = [0.0, -0.0, INF, -INF, math.nan, -math.nan, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e17, 1 / 3,
+                   0.1, 2.0 ** 53, 2.0 ** 53 - 1, 1e16, 1.00000762939453125]
+
+# Every kind of double the writer treats apart: hypothesis's floats (nan and
+# the infinities included), random bit patterns, 18th-digit ties (decimal
+# ones, and binary ones a / 2**e that are exact), neighbours of powers of
+# ten, integers up to 2**53, and values on both sides of 1e-4 and 1e17.
+WRITER_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(WRITER_SPECIALS),
+    st.integers(0, 2 ** 64 - 1).map(float_of_bits),
+    st.builds(decimal_tie, st.integers(10 ** 16, 10 ** 17 - 1), st.integers(0, 36)),
+    st.builds(lambda a, e: (2 * a + 1) * 2.0 ** -e, st.integers(0, 2 ** 52 - 1),
+              st.integers(1, 70)),
+    st.builds(power_neighbour, st.integers(-5, 17), st.integers(-3, 3)),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+    st.builds(lambda j, steps, sign: sign * power_neighbour(j, steps),
+              st.sampled_from([-4, 17]), st.integers(-3, 3), st.sampled_from([1.0, -1.0])),
+)
+
+
+def written_rows(matrix) -> bytes:
+    """What ``_format.write_rows`` writes for ``matrix``."""
+    buffer = io.BytesIO()
+    _format.write_rows(buffer, matrix)
+    return buffer.getvalue()
+
+
+def per_value_rows(matrix) -> bytes:
+    """The rows of :func:`per_value_text`, without its count line."""
+    return per_value_text(matrix).split(b"\n", 1)[1]
+
+
+class TestMatrixWriter:
+    """The numpy row writer against the per-entry writer, ``format_value``."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 1 << 11])
+    @given(data=st.data(), rows=st.integers(min_value=1, max_value=5),
+           width=st.integers(min_value=1, max_value=6), transposed=st.booleans())
+    @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_split_writer_matches_per_value_writer(self, tmp_path, monkeypatch, started,
-                                                   cpus, n, data, transposed, header):
-        specials = st.sampled_from([INF, -INF, -0.0, math.nan, 5e-324, -2.5e-310, 1 / 3])
-        values = data.draw(st.lists(st.one_of(st.floats(), specials),
-                                    min_size=n * n, max_size=n * n))
-        lead_rows = data.draw(st.integers(min_value=0, max_value=n))
-        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
-        monkeypatch.setattr(_text, "FORMAT_LEAD", lead_rows * n)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
-        matrix = np.array(values).reshape(n, n)
+    def test_writer_matches_per_value_writer(self, monkeypatch, chunk, data, rows, width,
+                                             transposed):
+        """Any doubles, in chunks of one or more whole rows, from a
+        C-contiguous matrix or a transposed view of one."""
+        monkeypatch.setattr(_format, "_CHUNK", chunk)
+        values = data.draw(st.lists(WRITER_FLOATS, min_size=rows * width,
+                                    max_size=rows * width))
+        matrix = np.array(values).reshape(rows, width)
         if transposed:
-            matrix = matrix.T  # a strided view, fed to the workers uncopied
-        started.clear()
-        save_matrix(tmp_path / "m.txt", matrix, header=header)
-        assert_no_child_left()
-        assert (tmp_path / "m.txt").read_bytes() == per_value_text(matrix, header)
-        assert bool(started) == (cpus > 1 and n > 1 and lead_rows < n)
+            matrix = matrix.T
+        assert written_rows(matrix) == per_value_rows(matrix)
 
-    WRAPPERS = {
-        "exit-3": '"{python}" "$@"\nexit 3',
-        "short-text": '"{python}" "$@" | head -c 100',
-        # announces more than it sends; what it sends is longer than the file
-        "long-garbage": "cat > /dev/null\necho 99999999\nhead -c 100000 /dev/zero",
-    }
+    @given(values=st.lists(st.one_of(st.integers(-2 ** 53, 2 ** 53).map(float),
+                                     st.sampled_from([INF, -INF, -0.0])),
+                           min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_integral_rows_match_per_value_writer(self, values):
+        """Rows whose finite entries are all integral take a path of their own."""
+        matrix = np.array(values)[None, :]
+        assert written_rows(matrix) == per_value_rows(matrix)
 
-    @pytest.mark.parametrize("worker", ["missing", "false", *WRAPPERS])
-    def test_failed_workers_give_the_same_bytes(self, tmp_path, monkeypatch, started, rng,
-                                                worker):
-        """A worker that cannot start, exits non-zero (before or after its
-        text) or sends a short text has its range formatted in-process, over
-        whatever it sent."""
-        if worker == "missing":
-            executable = str(tmp_path / "missing")
-        elif worker == "false":
-            executable = shutil.which("false")
-            if executable is None:
-                pytest.skip("no `false` program")
-        else:
-            executable = tmp_path / worker
-            script = self.WRAPPERS[worker].format(python=sys.executable)
-            executable.write_text(f"#!/bin/sh\n{script}\n")
-            executable.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(executable))
-        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
-        monkeypatch.setattr(_text, "FORMAT_LEAD", 0)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
-        matrix = rng.uniform(0.0, 1e6, (40, 40))
-        matrix[0, 39], matrix[39, 0] = INF, -INF
-        save_matrix(tmp_path / "m.txt", matrix.T, header=["failed workers"])
-        assert_no_child_left()
-        assert len(started) == 3
-        assert (tmp_path / "m.txt").read_bytes() == per_value_text(matrix.T, ["failed workers"])
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9])
+    def test_a_misjudged_exponent_falls_back(self, monkeypatch, scale):
+        """Digits at a wrong exponent fall outside [1e16, 1e17), so the entry
+        is formatted by ``%``: with every power of ten moved a little, entries
+        just below or just above one are judged a decade off."""
+        monkeypatch.setattr(_format._tables(), "bounds", _format._tables().bounds * scale)
+        values = [sign * power_neighbour(j, steps) * factor for j in range(-3, 17)
+                  for steps in (-2, 0, 2) for factor in (1 - 1e-12, 1.0, 1 + 1e-12)
+                  for sign in (1.0, -1.0)]
+        matrix = np.array(values).reshape(-1, 12)
+        assert written_rows(matrix) == per_value_rows(matrix)
 
-    @pytest.mark.parametrize("cpus,n", [(1, 400), (16, 112)])
-    def test_one_cpu_or_a_small_matrix_starts_no_worker(self, tmp_path, cpus, n):
-        """Above the crossover with one CPU, and at the size of the constants
-        workload with many, a fresh interpreter writes without importing
-        ``subprocess``."""
-        script = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from quasimetric import _text, space\n"
-            f"_text._usable_cpus = lambda: {cpus}\n"
-            f"space.save_matrix(sys.argv[1], np.arange({n * n}.0).reshape({n}, {n}))\n"
-            "print('subprocess' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(quasimetric.__file__).parents[1]))
-        path = tmp_path / "m.txt"
-        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                             capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout == "False\n"
-        assert path.read_bytes() == per_value_text(np.arange(n * n, dtype=float).reshape(n, n))
+    @pytest.mark.parametrize("kind", ["real", "integral", "relaxed"])
+    def test_widths_on_both_sides_of_the_chunk_size(self, rng, kind):
+        """A row wider than a chunk is a chunk of its own."""
+        for width in [_format._CHUNK - 1, _format._CHUNK, _format._CHUNK + 1]:
+            if kind == "real":
+                matrix = np.cumsum(rng.uniform(8.0, 12.0, (3, width)), axis=1)
+            else:
+                matrix = rng.integers(0, 1000, (3, width)).astype(float)
+                if kind == "relaxed":
+                    matrix[rng.random(matrix.shape) < 0.5] = INF
+            assert written_rows(matrix) == per_value_rows(matrix)
+            assert written_rows(matrix.T) == per_value_rows(matrix.T)
 
-    def test_split_write_of_a_transposed_matrix_peaks_below_half_of_it(
-            self, tmp_path, monkeypatch, started, rng):
-        """Above the crossover, the rows of a strided matrix reach the
-        workers and the file a block at a time: no whole copy is made."""
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 2)
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.just(-0.0)), min_size=1, max_size=36))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, values):
+        """Seventeen digits name every finite double: a written matrix reads
+        back bit for bit, -0.0 included."""
+        n = math.isqrt(len(values) - 1) + 1
+        matrix = np.array(values + [-0.0] * (n * n - len(values))).reshape(n, n)
+        path = tmp_path_factory.mktemp("round") / "m.txt"
+        save_matrix(path, matrix)
+        with open(path, encoding="utf-8") as fh:
+            assert parse_matrix_text(fh).tobytes() == matrix.tobytes()
+        distances = np.where(matrix < 0, -matrix, matrix)  # -0.0 stays
+        save_matrix(path, distances)
+        assert load_matrix(path).dist.tobytes() == distances.tobytes()
+
+    def test_write_of_a_transposed_matrix_peaks_below_half_of_it(self, tmp_path, started,
+                                                                 rng):
+        """The rows of a strided matrix reach the file a chunk at a time:
+        no whole copy is made."""
         n = 400
-        assert n * n >= 2 * _text.FORMAT_MIN
         matrix = rng.uniform(0.0, 1e6, (n, n)).T
         path = tmp_path / "m.txt"
         tracemalloc.start()
@@ -1257,28 +1308,31 @@ class TestParallelWrite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_no_child_left()
-        assert len(started) == 1
+        assert started == []
         assert peak < 0.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
         assert path.read_bytes() == per_value_text(matrix)
 
-
-    def test_uncaught_error_while_feeding_reaps_the_workers(self, tmp_path, monkeypatch,
-                                                            started):
-        class Stop(BaseException):
-            pass
-
-        def stop(pipe, rows):
-            raise Stop
-
-        monkeypatch.setattr(_text, "_feed", stop)
-        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
-        monkeypatch.setattr(_text, "FORMAT_LEAD", 0)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
-        with pytest.raises(Stop):
-            save_matrix(tmp_path / "m.txt", np.zeros((8, 8)))
-        assert len(started) == 3
-        assert_no_child_left()
+    @pytest.mark.parametrize("kind", ["real", "integral"])
+    def test_write_starts_no_process_and_leaves_numpy_ma_unloaded(self, tmp_path, kind):
+        """A fresh interpreter writes an n = 400 matrix without importing
+        ``subprocess`` or ``numpy.ma`` (which ``np.unique`` would import)."""
+        n = 400
+        values = (f"np.random.default_rng(1).uniform(8.0, 12.0, ({n}, {n}))" if kind == "real"
+                  else f"np.arange({n * n}.0).reshape({n}, {n})")
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from quasimetric import space\n"
+            f"matrix = {values}\n"
+            "space.save_matrix(sys.argv[1], matrix)\n"
+            "np.save(sys.argv[2], matrix)\n"
+            "print('subprocess' in sys.modules, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(quasimetric.__file__).parents[1]))
+        path, saved = tmp_path / "m.txt", tmp_path / "m.npy"
+        out = subprocess.run([sys.executable, "-c", script, str(path), str(saved)], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout == "False False\n"
+        assert path.read_bytes() == per_value_text(np.load(saved))
 
 
 class TestWriterInputChecks:
@@ -1305,9 +1359,7 @@ class TestWriterInputChecks:
             save_matrix(path, matrix)
         assert path.read_text() == "untouched"
 
-    def test_unopenable_path_fails_before_any_worker(self, tmp_path, monkeypatch, started):
-        monkeypatch.setattr(_text, "FORMAT_MIN", 1)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
+    def test_unopenable_path_fails_before_any_worker(self, tmp_path, started):
         with pytest.raises(FileNotFoundError):
             save_matrix(tmp_path / "no-such-dir" / "m.txt", np.zeros((8, 8)))
         assert started == []
