@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -315,6 +315,29 @@ def predict(clf: CompressedClassifier, query,
     score, evaluations = float(reads.min()), len(reads)
     label = clf.cover_label if score <= clf.threshold else -clf.cover_label
     return PredictResult(label=label, score=score, evaluations=evaluations)
+
+
+def predict_ids(clf: CompressedClassifier, ids: Sequence[int],
+                space: Optional[QuasiMetric] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and scores :func:`predict` gives the point ids ``ids``,
+    in order: each score the least of its ``k`` reads, taken by one
+    ``_nearest_centers`` over the cover for a block of about n / 16 ids at a
+    time, so that the block stays below a sixteenth of the matrix.
+    """
+    qm = space if space is not None else clf.space
+    if qm is None:
+        raise ValueError("a point-id query requires the training space")
+    if qm.n != clf.n:
+        raise ValueError(f"space has {qm.n} points, expected {clf.n}")
+    outside = next((i for i in ids if not 0 <= i < qm.n), None)
+    if outside is not None:
+        raise ValueError(f"query id {outside} out of range")
+    ids, scores, step = np.asarray(ids, dtype=np.int64), np.empty(len(ids)), max(1, qm.n // 16)
+    for i in range(0, len(ids), step):
+        scores[i:i + step] = _nearest_centers(qm, clf._centers, ids[i:i + step],
+                                              clf.direction)[0]
+    labels = np.where(scores <= clf.threshold, clf.cover_label, -clf.cover_label)
+    return labels, scores
 
 
 # ---------------------------------------------------------------------------

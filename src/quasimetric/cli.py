@@ -298,9 +298,8 @@ def cmd_predict(args) -> int:
             if i in seen:
                 raise ValueError(f"--ids repeats id {i}")
             seen.add(i)
-        for i in ids:
-            res = _classifier.predict(clf, i, space=qm)
-            lines.append((i, res.label))
+        labels, _ = _classifier.predict_ids(clf, ids, space=qm)
+        lines = list(zip(ids, labels.tolist()))
     for i, lab in lines:
         sys.stdout.write(f"{i} {'+1' if lab > 0 else '-1'}\n")
     table(["queries", "positive", "negative"],
@@ -317,7 +316,7 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
     unavailable; a given side becomes a float64 view of one buffer that
     holds every side.
     """
-    parsed = _text.parse_in_ranges(source, n)
+    parsed = _text.parse_numbers(source, n)
     if parsed is not None:
         q, values, dashes = parsed
     else:

@@ -530,7 +530,7 @@ def subspace(qm: QuasiMetric, ids: Iterable[int]) -> QuasiMetric:
 # line `n m`, then m lines `u v w`.  Lines starting with `#` are comments.
 # Parsers take the text as a `str` or an open text file and read it one line
 # at a time, so a file is never held whole; `_text` holds the line rule and
-# the row conversion, and parses a large file on several cores.
+# the row conversion, and parses a large matrix file with numpy first.
 # ---------------------------------------------------------------------------
 
 def _first_line(source, what: str) -> tuple[str, Iterator[str]]:
@@ -569,7 +569,7 @@ def _parse_records(lines: Iterator[str], expected: int, parse: Callable[[str], o
 def parse_matrix_text(source) -> np.ndarray:
     """An ``n × n`` float64 matrix, its rows in one buffer, from a matrix
     file's text as a `str` or an open text file."""
-    parsed = _text.parse_in_ranges(source)
+    parsed = _text.parse_numbers(source)
     if parsed is not None:
         n, values, _ = parsed
     else:

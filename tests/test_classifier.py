@@ -1,18 +1,22 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasimetric import (CompressedClassifier, DegenerateCandidatesError, Direction,
                          InseparableSampleError, QueryVectors, bound,
                          build_classifier, build_from_matrix,
-                         gen_random_bounded, make_sample, margins, predict)
+                         gen_random_bounded, load_matrix, make_sample, margins, predict)
 from quasimetric import dimension
-from quasimetric.classifier import parse_labels_text
+from quasimetric.classifier import parse_labels_text, predict_ids
 
-from conftest import random_quasimetric
+from conftest import random_quasimetric, tie_heavy_spaces
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # A field value that stands for the field's absence.
@@ -324,6 +328,48 @@ class TestPredict:
         clf = build_classifier(four_point_sample())
         at_threshold = QueryVectors(from_query=[clf.threshold, 9, 9, 9])
         assert predict(clf, at_threshold).label == clf.cover_label
+
+
+class TestPredictIds:
+    """Every id labelled at once against one ``predict`` call per id."""
+
+    @staticmethod
+    def per_id(clf, qm, ids):
+        results = [predict(clf, i, space=qm) for i in ids]
+        return [r.label for r in results], np.array([r.score for r in results])
+
+    def test_golden_ring_rule(self):
+        clf = CompressedClassifier.from_dict(
+            json.loads((GOLDEN / "clf.json").read_text())["classifier"])
+        qm = load_matrix(GOLDEN / "ring.txt")
+        ids = list(range(qm.n))[::-1]  # any order, over several blocks
+        labels, scores = predict_ids(clf, ids, space=qm)
+        want_labels, want_scores = self.per_id(clf, qm, ids)
+        assert labels.tolist() == want_labels
+        assert scores.tobytes() == want_scores.tobytes()
+
+    @given(qm=tie_heavy_spaces(allow_relaxed=False), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tie_heavy_spaces(self, qm, data):
+        labels = data.draw(st.lists(st.sampled_from([1, -1]), min_size=qm.n, max_size=qm.n))
+        assume(1 in labels and -1 in labels)
+        try:
+            clf = build_classifier(make_sample(qm, dict(enumerate(labels))))
+        except (InseparableSampleError, DegenerateCandidatesError):
+            assume(False)
+        ids = data.draw(st.permutations(range(qm.n)))
+        got_labels, got_scores = predict_ids(clf, ids)
+        want_labels, want_scores = self.per_id(clf, qm, ids)
+        assert got_labels.tolist() == want_labels
+        assert got_scores.tobytes() == want_scores.tobytes()
+
+    def test_ids_out_of_range_or_without_a_space(self):
+        clf = build_classifier(four_point_sample())
+        with pytest.raises(ValueError, match="^query id 7 out of range$"):
+            predict_ids(clf, [0, 7, -1])
+        clone = CompressedClassifier.from_dict(clf.to_dict())
+        with pytest.raises(ValueError, match="requires the training space"):
+            predict_ids(clone, [0])
 
 
 class TestBounds:

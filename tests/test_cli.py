@@ -629,8 +629,8 @@ class TestKnobSet:
 
     KNOBS = {
         "_format._CHUNK": 1 << 11,
-        "_text.RANGE_MIN": 3 << 19,
-        "_text._EXIT_WAIT_S": 30.0,
+        "_text._NUMPY_MIN": 1 << 17,
+        "_text._PIECES": 128,
         "_text._READ": 1 << 16,
         "cli.SCHEMA": 1,
         "cover.EXACT_SIZE_CAP": 16,

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import shutil
 import struct
 import subprocess
 import sys
@@ -926,8 +925,9 @@ class TestStreamingParsers:
 
     def test_load_matrix_peaks_below_five_quarters_of_the_matrix(self, tmp_path, rng):
         """The rows fill one growing buffer that becomes the space's matrix
-        uncopied: 1.18x the matrix's bytes at n = 300 (the buffer's slack and
-        one n x n boolean mask of the entry checks)."""
+        uncopied: 1.18x the matrix's bytes at n = 300, which is below the
+        size the numpy parse reads, so the serial parser reads it (the
+        buffer's slack and one n x n boolean mask of the entry checks)."""
         n = 300
         path = tmp_path / "m.txt"
         save_matrix(path, rng.uniform(1.0, 2.0, (n, n)))
@@ -958,50 +958,79 @@ class TestStreamingParsers:
         assert path.read_text(encoding="utf-8").splitlines() == oracle
 
 
-def assert_no_child_left():
-    """Every worker a parse started has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 ROWS5 = ["0 1 2 3 4", "1 0 2 3 4", "2 1 0 3 4", "3 2 1 0 4", "4 3 2 1 0"]
 QUERY_SIDES = ["0 1 2", "-", "1 1 1", "2 2 2", "3 3 3", "-"]
 
+# What the numpy parse converts: an optional `-`, then digits with at most
+# one `.` among them, in at most 18 bytes.
+PLAIN_DECIMAL = re.compile(r"-?(\d+\.?\d*|\.\d+)")
+
+
+def midpoint_neighbour(x: float, digits: int, up: bool) -> str:
+    """``digits`` significant digits of the midpoint between ``x`` (in
+    [1, 1e16)) and the next double up, rounded down or up, as a plain
+    decimal."""
+    mid = Fraction(x) + Fraction(math.ulp(x)) / 2
+    point = len(str(math.floor(mid)))  # digits before the `.`
+    scaled = mid * 10 ** (digits - point)
+    text = str(math.ceil(scaled) if up else math.floor(scaled))
+    return text[:point] + "." + text[point:] if point < len(text) else text
+
+
+def dotted(digits: str, at: int, dot: bool, minus: bool) -> str:
+    return "-" * minus + digits[:at] + "." * dot + digits[at:]
+
+
+# Decimals whose 64-bit quotient lies exactly halfway between two doubles
+# while the decimal does not: cast to float64, they round the wrong way.
+DOUBLE_ROUNDING_TRAPS = ["8.9124448804640517", "2.4809993464483171", "9.8026414041739800",
+                         "-1.6500824795784651"]
+
+# Tokens in and out of that grammar: digit strings with a `-` and a `.`
+# anywhere (up to 20 bytes), %.17g of any double, integers 2**53 + odd (exact
+# midpoints), 16- and 17-digit neighbours of double midpoints, and the traps.
+DECIMAL_TOKENS = st.one_of(
+    st.builds(dotted, st.text("0123456789", min_size=1, max_size=18), st.integers(0, 18),
+              st.booleans(), st.booleans()),
+    st.sampled_from(["1.", ".5", "-0", "-0.0", "-.5", "0", "007", "9007199254740993.0",
+                     "4503599627370496.5", "123456789012345678", "99999999999999999.",
+                     ".00000000000000001", *DOUBLE_ROUNDING_TRAPS]),
+    st.floats().map("%.17g".__mod__),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: "%.17g" % float_of_bits(bits)),
+    st.integers(0, (10 ** 18 - 2 ** 53) // 2 - 1).map(lambda k: str(2 ** 53 + 2 * k + 1)),
+    st.builds(midpoint_neighbour, st.floats(1.0, 1e16, exclude_max=True),
+              st.sampled_from([16, 17]), st.booleans()),
+)
+
 
 class TestParallelParse:
-    """Files split over worker processes against the whole-text oracles.
+    """Matrix and query files read by the numpy parse,
+    ``_text.parse_numbers``, against the whole-text oracles and ``float``.
 
-    ``RANGE_MIN`` is patched down to 2 bytes and the CPU count up to 4, so
-    inputs of a few bytes are cut into as many as four ranges.
+    Where the parse declines a file, the serial parser reads it.  The size
+    below which it declines every file is patched away, and pieces down to
+    one line, so that most files take several.
     """
 
     PARSERS = TestStreamingParsers.PARSERS
 
-    def test_text_module_loads_no_numpy(self):
-        """A parse worker is ``_text.py`` run by ``python -I -S``: the module
-        imports only the standard library, so no worker loads numpy."""
-        script = (
-            "import importlib.util, sys\n"
-            "spec = importlib.util.spec_from_file_location('_text', sys.argv[1])\n"
-            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
-            "print('numpy' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-I", "-S", "-c", script, _text.__file__],
-                             capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout == "False\n"
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        """Files of any size take the numpy path, one line a piece."""
+        monkeypatch.setattr(_text, "_NUMPY_MIN", 1)
+        monkeypatch.setattr(_text, "_PIECES", 10 ** 9)
 
     @pytest.fixture
-    def split(self, monkeypatch):
-        """The list of whether each parse since took the parallel path."""
-        monkeypatch.setattr(_text, "RANGE_MIN", 2)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: 4)
-        taken, original = [], _text.parse_in_ranges
+    def taken(self, monkeypatch):
+        """The list of whether each parse since took the numpy path."""
+        taken, original = [], _text.parse_numbers
 
         def spy(*args):
             result = original(*args)
             taken.append(result is not None)
             return result
 
-        monkeypatch.setattr(_text, "parse_in_ranges", spy)
+        monkeypatch.setattr(_text, "parse_numbers", spy)
         return taken
 
     def check(self, path, kind, text):
@@ -1012,21 +1041,20 @@ class TestParallelParse:
             expected = parse_outcome(oracle, fh.read())
         with open(path, encoding="utf-8") as fh:
             got = parse_outcome(parse, fh)
-        assert_no_child_left()
         assert got == expected
 
     @pytest.mark.parametrize("kind", ["matrix", "queries"])
     @given(data=st.data())
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_match_whole_text_oracle(self, tmp_path, split, kind, data):
-        """Mostly `\\n` line breaks, so that most texts can be cut."""
+    def test_match_whole_text_oracle(self, tmp_path, taken, kind, data):
+        """Mostly `\\n` line breaks, so that many texts take the numpy path."""
         text = data.draw(parser_texts(kind, ["\n"] * 20 + LINE_BREAKS))
         self.check(tmp_path / "input.txt", kind, text)
 
-    @pytest.mark.parametrize("kind,text,parallel", [
-        ("matrix", "5\n" + "".join(f"{row}\n# c\n\n" for row in ROWS5), True),
-        ("matrix", "5\r\n" + "".join(f"{row}\r\n" for row in ROWS5), True),
+    @pytest.mark.parametrize("kind,text,kernel", [
+        ("matrix", "5\n" + "".join(f"{row}\n# c\n\n" for row in ROWS5), False),
+        ("matrix", "5\r\n" + "".join(f"{row}\r\n" for row in ROWS5), False),
         ("matrix", "5\r" + "".join(f"{row}\r" for row in ROWS5), False),
         ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]) + "4 3 x 1 0\n", False),
         ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]) + "4 3 2 1\n", False),
@@ -1036,120 +1064,137 @@ class TestParallelParse:
         ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES), True),
         ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES[:5]) + "3 x\n",
          False),
+        ("matrix", "# c\n\n5\n" + "\n".join(ROWS5), True),
+        ("matrix", "5\n\n" + "".join(f" {row.replace(' ', '  ')} \n\n" for row in ROWS5),
+         True),
+        ("queries", "2\n-\n-\n0 1 2\n-\n", True),
+        ("queries", "1\n0 - 2\n-\n", False),
     ], ids=["comments-at-cuts", "crlf", "bare-cr", "bad-token", "short-row", "extra-row",
-            "missing-row", "row-on-header-line", "dash-side", "bad-side"])
-    def test_pinned_cases(self, tmp_path, split, kind, text, parallel):
+            "missing-row", "row-on-header-line", "dash-side", "bad-side",
+            "comment-header-no-final-newline", "blank-lines-and-spaces", "dash-sides-only",
+            "dash-inside-a-side"])
+    def test_pinned_cases(self, tmp_path, taken, kind, text, kernel):
         self.check(tmp_path / "input.txt", kind, text)
-        assert split == [parallel]
+        assert taken == [kernel and _text._exact_division()]
 
-    def test_cuts_fall_on_comments_and_blank_lines(self, tmp_path, split):
+    def test_file_changed_during_the_parse_falls_back(self, tmp_path, taken, monkeypatch):
+        """A value already parsed is rewritten in place, so only the file's
+        modification time shows the change."""
         path = tmp_path / "m.txt"
-        path.write_text("5\n" + "".join(f"{row}\n# c\n\n" for row in ROWS5))
-        with open(path, "rb") as fh:
-            _, cuts = _text._split(fh.fileno(), os.fstat(fh.fileno()).st_size)
-            data = fh.read()
-        assert {data[cut:cut + 1] for cut in cuts[1:-1]} == {b"#", b"\n"}
+        original = _text._piece
 
-    @pytest.mark.parametrize("cpus,range_min,workers", [
-        (4, 8, 3), (2, 8, 1), (4, 25, 1), (4, 26, 0), (1, 8, 0)])
-    def test_worker_count(self, tmp_path, monkeypatch, cpus, range_min, workers):
-        """Workers number min(CPUs, body bytes // RANGE_MIN) - 1 (the first
-        range is parsed in-process); the 50-byte body's rows cut evenly."""
-        monkeypatch.setattr(_text, "RANGE_MIN", range_min)
-        monkeypatch.setattr(_text, "_usable_cpus", lambda: cpus)
-        started = []
+        def parse_then_change(*args):
+            result = original(*args)
+            with open(path, "r+b") as fh:
+                fh.seek(2)
+                fh.write(b"9")
+            os.utime(path, ns=(0, 0))
+            return result
 
-        class Counted(subprocess.Popen):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "Popen", Counted)
-        path = tmp_path / "m.txt"
+        monkeypatch.setattr(_text, "_piece", parse_then_change)
         path.write_text("5\n" + "".join(f"{row}\n" for row in ROWS5))
-        with open(path, encoding="utf-8") as fh:
-            assert parse_matrix_text(fh).tobytes() == whole_text_matrix(path.read_text()).tobytes()
-        assert len(started) == workers
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("executable", ["missing", "false"])
-    def test_unstartable_or_failing_workers_fall_back(self, tmp_path, split, monkeypatch,
-                                                      executable):
-        if executable == "false":
-            executable = shutil.which("false")
-            if executable is None:
-                pytest.skip("no `false` program")
-        else:
-            executable = str(tmp_path / executable)
-        monkeypatch.setattr(sys, "executable", executable)
-        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
-        assert split == [False]
-
-    def test_worker_exiting_nonzero_after_its_output_falls_back(self, tmp_path, split,
-                                                               monkeypatch):
-        wrapper = tmp_path / "python-then-fail"
-        wrapper.write_text(f'#!/bin/sh\n"{sys.executable}" "$@"\nexit 3\n')
-        wrapper.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(wrapper))
-        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
-        assert split == [False]
-
-    def test_file_changed_during_the_parse_falls_back(self, tmp_path, split, monkeypatch):
-        path = tmp_path / "m.txt"
-        text = "5\n" + "".join(f"{row}\n" for row in ROWS5)
-        original = _text.parse_range
-
-        def grow_then_parse(*args):
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("# appended while the ranges were parsed\n")
-            return original(*args)
-
-        monkeypatch.setattr(_text, "parse_range", grow_then_parse)
-        path.write_text(text)
         with open(path, encoding="utf-8") as fh:
             got = parse_matrix_text(fh)
-        assert_no_child_left()
-        assert split == [False]
-        assert got.tobytes() == whole_text_matrix(text).tobytes()
+        assert taken == [False]
+        assert got.tobytes() == whole_text_matrix(path.read_text()).tobytes()
+        assert got[0, 0] == 9.0
 
-
-    WRAPPERS = {
-        "cut-short": '"{python}" "$@" | head -c 20',
-        # announces more bytes than it sends
-        "long-announce": "echo 99999999 1\nhead -c 800 /dev/zero",
-        "bare-zero": "echo 0",
-    }
-
-    @pytest.mark.parametrize("worker", WRAPPERS)
-    def test_short_or_garbled_replies_fall_back(self, tmp_path, split, monkeypatch, worker):
-        """Every worker's reply is short or has no line count: the serial
-        parser reads the file."""
-        executable = tmp_path / worker
-        script = self.WRAPPERS[worker].format(python=sys.executable)
-        executable.write_text(f"#!/bin/sh\n{script}\n")
-        executable.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(executable))
-        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
-        assert split == [False]
-
-    def test_uncaught_error_in_the_first_range_reaps_the_workers(self, tmp_path, split,
-                                                                 monkeypatch, started):
-        class Stop(BaseException):
-            pass
-
-        workers = []
-
-        def stop(*args):
-            workers.append(len(started))
-            raise Stop
-
-        monkeypatch.setattr(_text, "parse_range", stop)
+    @given(tokens=st.lists(DECIMAL_TOKENS, min_size=1, max_size=40))
+    @example(tokens=["9007199254740993", "1.5", "4503599627370496.5", "9007199254740993.0",
+                     "-0", "1.", ".5"])
+    @example(tokens=["-1.2345678901234567"])
+    @example(tokens=DOUBLE_ROUNDING_TRAPS)
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tokens_convert_as_float_does(self, tmp_path, tokens):
+        """Values bit for bit as ``float`` gives them when every token is a
+        plain decimal of at most 18 bytes; None otherwise."""
+        if not _text._exact_division():
+            pytest.skip("long double is not x87's here")
+        n = math.isqrt(len(tokens) - 1) + 1
+        cells = tokens + ["0"] * (n * n - len(tokens))
         path = tmp_path / "m.txt"
-        path.write_text("5\n" + "".join(f"{row}\n" for row in ROWS5))
-        with open(path, encoding="utf-8") as fh, pytest.raises(Stop):
-            parse_matrix_text(fh)
-        assert workers == [3]
-        assert_no_child_left()
+        path.write_text(f"{n}\n" + "".join(" ".join(cells[i:i + n]) + "\n"
+                                           for i in range(0, n * n, n)))
+        with open(path, encoding="utf-8") as fh:
+            got = _text.parse_numbers(fh)
+        if all(len(t) <= 18 and PLAIN_DECIMAL.fullmatch(t) for t in tokens):
+            assert got is not None
+            assert got[1].tobytes() == np.array([float(t) for t in cells]).tobytes()
+        else:
+            assert got is None
+
+    @pytest.mark.parametrize("kind,text", [
+        ("matrix", b"2\n0 1e5\n1 0\n"),
+        ("matrix", b"2\n0 inf\n1 0\n"),
+        ("matrix", b"2\n0 x\n1 0\n"),
+        ("matrix", b"2\n0 1-2\n1 0\n"),
+        ("matrix", b"2\n0 1..2\n1 0\n"),
+        ("matrix", b"2\n0 .\n1 0\n"),
+        ("matrix", b"2\n0 -\n1 0\n"),
+        ("matrix", b"2\n0\t1\n1 0\n"),
+        ("matrix", b"2\n0 1\r1 0\n"),
+        ("matrix", b"2\n0 1\n1 0\xff\n"),
+        ("matrix", b"2\n0 1234567890123456789\n1 0\n"),
+        ("queries", b"1\n0 1 -\n-\n"),
+    ], ids=["exponent", "inf", "letter", "inner-minus", "two-dots", "lone-dot", "lone-minus",
+            "tab", "bare-cr", "non-utf8", "19-bytes", "dash-in-a-side"])
+    def test_rejected_shapes(self, tmp_path, kind, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text)
+        with open(path, encoding="utf-8") as fh:
+            assert _text.parse_numbers(fh, 3 if kind == "queries" else None) is None
+
+    def test_numpy_parse_peaks_below_five_quarters_of_the_matrix(self, tmp_path, rng,
+                                                                 monkeypatch):
+        """At n = 400 (above the size the numpy parse declines, in its real
+        pieces): 1.16x the matrix's bytes, the matrix and one piece's
+        scratch."""
+        monkeypatch.undo()  # the real knobs
+        n = 400
+        path = tmp_path / "m.txt"
+        save_matrix(path, rng.uniform(1.0, 2.0, (n, n)))
+        with open(path, encoding="utf-8") as fh:
+            assert _text.parse_numbers(fh) is not None or not _text._exact_division()
+        tracemalloc.start()
+        try:
+            qm = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qm.n == n
+        assert peak < 1.25 * qm.dist.nbytes, f"peak {peak / qm.dist.nbytes:.2f}x the matrix"
+
+    def test_without_x87_long_double_the_serial_parser_reads(self, tmp_path, taken,
+                                                            monkeypatch):
+        monkeypatch.setattr(_text, "_exact_division", lambda: False)
+        self.check(tmp_path / "m.txt", "matrix", "5\n" + "".join(f"{r}\n" for r in ROWS5))
+        assert taken == [False]
+
+    def test_parse_starts_no_process(self, tmp_path):
+        """An n = 1000 matrix file, parsed in a fresh interpreter with every
+        way to start a process refused, leaves ``subprocess`` unimported."""
+        path = tmp_path / "m.txt"
+        save_matrix(path, gen_cycle(1000).space.dist)
+        script = (
+            "import os, sys\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('the parse started a process')\n"
+            "for name in ('fork', 'posix_spawn', 'posix_spawnp', 'execv', 'execve'):\n"
+            "    if hasattr(os, name):\n"
+            "        setattr(os, name, refuse)\n"
+            "from quasimetric import _text\n"
+            "from quasimetric.space import load_matrix\n"
+            "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+            "    taken = _text.parse_numbers(fh) is not None\n"
+            "print(load_matrix(sys.argv[1]).n, taken == _text._exact_division(),\n"
+            "      'subprocess' in sys.modules)\n")
+        src = str(Path(quasimetric.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout == "1000 True False\n"
 
 
 def per_value_text(matrix, header=()) -> bytes:
