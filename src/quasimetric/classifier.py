@@ -70,8 +70,11 @@ class LabeledSample:
 
 def make_sample(space: QuasiMetric, labels: Mapping[int, int]) -> LabeledSample:
     """Build a sample from an id -> {+1, -1} mapping."""
-    pos = frozenset(i for i, lab in labels.items() if lab > 0)
-    neg = frozenset(i for i, lab in labels.items() if lab < 0)
+    for i, lab in labels.items():
+        if lab not in (1, -1):
+            raise ValueError(f"label for id {i} must be +1 or -1, got {lab}")
+    pos = frozenset(i for i, lab in labels.items() if lab == 1)
+    neg = frozenset(i for i, lab in labels.items() if lab == -1)
     return LabeledSample(space=space, pos=pos, neg=neg)
 
 
@@ -220,11 +223,9 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     arbitrary).  Without ``eps`` every point is covered (the rule's ``mode``
     is ``consistent``); with it, an eps fraction of the cover's class may
     stay uncovered, trading training error for size (mode ``eps``, greedy
-    covers only).  ``lambda_hat`` feeds the iterated schedule and is an
-    error with any other algorithm; when omitted, ``iterated_cover``
-    estimates it from each class only as far as that class's schedule
-    needs, sweeping no ball when no lambda_hat could give a coarse round,
-    and counts the estimate's reads in the cover's stats.
+    covers only).  ``lambda_hat``, when given, feeds the iterated schedule
+    (``iterated_cover``'s default otherwise) and is an error with any other
+    algorithm.
 
     Candidates whose separation gap closes to zero are discarded; ties on
     size break in the fixed order pos-outer, neg-inner, pos-inner,
@@ -244,6 +245,7 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
     if lambda_hat is not None and algorithm != "iterated":
         raise ValueError(f"lambda_hat only applies to iterated covers, not {algorithm}")
 
+    schedule = {} if lambda_hat is None else {"lambda_hat": lambda_hat}
     m = margins(sample)
     classes = {"pos": sorted(sample.pos), "neg": sorted(sample.neg)}
 
@@ -255,7 +257,7 @@ def build_classifier(sample: LabeledSample, algorithm: str = "greedy",
         if algorithm == "greedy":
             cov = _cover.greedy_cover(qm, own, own, radius, direction, eps)
         elif algorithm == "iterated":
-            cov = _cover.iterated_cover(qm, own, own, radius, direction, lambda_hat)
+            cov = _cover.iterated_cover(qm, own, own, radius, direction, **schedule)
         else:
             cov = _cover.arbitrary_cover(qm, own, own, radius, direction)
 

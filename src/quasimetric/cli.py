@@ -214,8 +214,9 @@ def cmd_cover(args) -> int:
         result = _cover.arbitrary_cover(qm, target, candidates, args.alpha,
                                         direction, seed=args.seed)
     else:
+        schedule = {} if args.lambda_hat is None else {"lambda_hat": args.lambda_hat}
         result = _cover.iterated_cover(qm, target, candidates, args.alpha,
-                                       direction, args.lambda_hat)
+                                       direction, **schedule)
     ok, offenders = _cover.verify_cover(qm, result, target)
     payload = {"n": qm.n, "algo": args.algo, "cover": result.to_dict(),
                "verified": ok, "offenders": [list(o) for o in offenders]}
@@ -458,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="allow this fraction uncovered (greedy only)")
     p.add_argument("--lambda-hat", type=float, default=None,
-                   help="covering constant driving the iterated schedule (iterated only)")
+                   help="covering constant driving the iterated schedule, default 2 "
+                        "(iterated only)")
     p.add_argument("--target", default=None, help="comma-separated ids (default all)")
     p.add_argument("--candidates", default=None,
                    help="comma-separated ids (default all)")
@@ -475,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="greedy")
     p.add_argument("--eps", type=float, default=None,
                    help="allow this fraction of the cover's class uncovered (greedy only)")
-    p.add_argument("--lambda-hat", type=float, default=None, help="(iterated only)")
+    p.add_argument("--lambda-hat", type=float, default=None,
+                   help="default 2 (iterated only)")
     p.add_argument("--output", default=None, help="write classifier JSON here")
     p.set_defaults(func=cmd_train)
 

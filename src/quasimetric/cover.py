@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .space import (Direction, DomainFailure, QuasiMetric, Record, _clean_ids,
-                    _nearest_centers, _require_strict, diameter, subspace)
+                    _nearest_centers, _require_strict, diameter)
 
 # Largest set the exact solvers take on: the target of an exact cover, and
 # the space of an exact covering or packing constant.
@@ -252,43 +252,9 @@ def _schedule(n_t: int, diam: float, alpha: float, lambda_hat: float) -> list[fl
         consumed += alpha_i
 
 
-def _estimated_schedule(qm: QuasiMetric, ids: list[int], direction: Direction,
-                        n_t: int, diam: float, alpha: float) -> tuple[list[float], int]:
-    """The schedule of the default lambda_hat, the greedy directional
-    constant of the points ``ids`` but at least 2, and the distance reads
-    spent on it.
-
-    The constant is an integer and the sweep's running maximum of greedy
-    sizes only grows towards it, so the sweep stops, exactly, once every
-    integer at or above that maximum (at least 2) gives one schedule, and
-    runs not at all when 2 already does.  Its reads are the copy of the
-    points' subspace and the table of each swept center, in a strict space
-    the whole copy.
-    """
-    top = (n_t - 1).bit_length()  # ceil(log2 n_t): from there on every exponent is 1
-
-    def settled(low: int) -> bool:
-        return len({tuple(_schedule(n_t, diam, alpha, lam))
-                    for lam in range(low, max(low, top) + 1)}) == 1
-
-    low, reads = 2, 0
-    if not settled(low):
-        from .dimension import _greedy_sweep  # dimension imports this module
-
-        d = subspace(qm, ids).oriented(direction)
-        swept: set[int] = set()
-        for centers, _, sizes in _greedy_sweep(d):
-            swept.update(centers.tolist())
-            low = max(low, int(sizes.max()))
-            if settled(low):
-                break
-        reads = d.size * (1 + len(swept))
-    return _schedule(n_t, diam, alpha, low), reads
-
-
 def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[int],
                    alpha: float, direction: Direction,
-                   lambda_hat: Optional[float] = None) -> Cover:
+                   lambda_hat: float = 2.0) -> Cover:
     """Multi-round cover: coarse covers at a shrinking radius schedule, then
     one greedy pass at the remaining radius budget.
 
@@ -299,14 +265,12 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     than 2 * alpha / 3 in total, so the final pass always retains at least
     alpha / 3.  If the very first scheduled radius is already too large the
     whole thing degenerates to a single greedy pass at alpha (``fallback``).
+    ``lambda_hat`` defaults to 2, the least value the schedule admits.
 
-    Without ``lambda_hat`` it is the greedy directional constant of the
-    points of ``target`` and ``candidates``, at least 2, estimated only as
-    far as the schedule needs: the constant's sweep stops once no larger
-    value could change the schedule, and is skipped when none could.  The
-    estimate's reads, the subspace copy and each swept center's table,
-    count in ``stats.distance_evaluations``; they are 0 when
-    ``lambda_hat`` is given or no ball is swept.
+    At most log*(|target|) - 1 rounds are scheduled, and each round, the
+    final pass and the final assignment read at most |target| x |candidates|
+    distances, so ``stats.distance_evaluations`` stays within
+    n**2 * (log* n + 1) on a space of n points, whatever ``lambda_hat``.
 
     The chained assignments are within alpha by the triangle inequality; the
     final per-point assignment is recomputed against the finished cover.
@@ -314,17 +278,13 @@ def iterated_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable[
     direction = Direction(direction)
     _require_strict(qm, "iterated_cover")
     _check_alpha(alpha, positive=True)
-    if lambda_hat is not None and not lambda_hat >= 2:  # also rejects NaN
+    if not lambda_hat >= 2:  # also rejects NaN
         raise ValueError(f"lambda_hat must be at least 2, got {lambda_hat}")
     tgt = _clean_ids(qm.n, target, "target").tolist()
     cand = _clean_ids(qm.n, candidates, "candidate").tolist()
     diam = diameter(qm)
     stats = CoverStats()
-    if lambda_hat is None:
-        schedule, stats.distance_evaluations = _estimated_schedule(
-            qm, tgt + cand, direction, len(tgt), diam, alpha)
-    else:
-        schedule = _schedule(len(tgt), diam, alpha, lambda_hat)
+    schedule = _schedule(len(tgt), diam, alpha, lambda_hat)
 
     current = tgt
     consumed = 0.0

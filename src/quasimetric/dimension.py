@@ -102,9 +102,9 @@ def _balls(d: np.ndarray):
             yield center, perm, radii, np.searchsorted(ranked, radii, side="right")
 
 
-def _greedy_sweep(d: np.ndarray):
-    """Yield the center, radius and greedy cover size of every critical
-    OUTER ball, as three arrays per block, blocks in sweep order.
+def _greedy_sweep(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The center, radius and greedy cover size of every critical OUTER
+    ball, as three arrays in sweep order.
 
     Each size is ``greedy_cover(ball, all points, radius / 2, OUTER).size``.
     Every center's table spans all n points in that center's sorted order,
@@ -112,13 +112,12 @@ def _greedy_sweep(d: np.ndarray):
     stream into blocks of ``_BLOCK_CAP // (n * 64 * words)`` (at least one),
     a center's radii splitting where they do not fit, and one batch of the
     greedy kernel covers each block, each size being its entry's round
-    count.  A center's table is read from ``d`` only once its first radii
-    join a block, so a consumer that stops taking blocks has read the
-    tables of the centers it was given and no other.
+    count.
     """
     n = d.shape[0]
     words = -(-n // 64)
     step = max(1, _BLOCK_CAP // (n * 64 * words))
+    swept = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
     block, entries = [], 0
     for center, perm, rs, members in _balls(d):
         table = np.full((n, 64 * words), np.inf)  # the inf padding lies in no ball
@@ -128,10 +127,11 @@ def _greedy_sweep(d: np.ndarray):
             block.append((*_cover._packed(table, chunk / 2.0, sizes), perm, center, chunk))
             entries += chunk.size
             if entries == step:
-                yield _block_sizes(block)
+                swept.append(_block_sizes(block))
                 block, entries = [], 0
     if block:
-        yield _block_sizes(block)
+        swept.append(_block_sizes(block))
+    return tuple(map(np.concatenate, zip(*swept)))
 
 
 def _block_sizes(block: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,8 +163,7 @@ def _constant(qm: QuasiMetric, quantity: str, method: str,
     orientation = direction or Direction.OUTER
     d = qm.oriented(orientation)
     if quantity != "density" and method == "greedy":
-        blocks = list(zip(*_greedy_sweep(d)))
-        centers, radii, sizes = map(np.concatenate, blocks) if blocks else ([], [], [])
+        centers, radii, sizes = _greedy_sweep(d)
     else:
         centers, radii, sizes = [], [], []
         for center, perm, rs, members in _balls(d):

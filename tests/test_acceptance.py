@@ -118,8 +118,9 @@ def test_c05_iterated_cover_envelope_at_scale():
         fx = gen_random_bounded(n, seed=7)
         alpha = diameter(fx.space) / 4.0
         for lam in (2.0, 8.0, None):
+            schedule = {} if lam is None else {"lambda_hat": lam}
             cov = iterated_cover(fx.space, range(n), range(n), alpha,
-                                 Direction.INNER, lam)
+                                 Direction.INNER, **schedule)
             okc, offenders = verify_cover(fx.space, cov, range(n))
             budget = n * n * (log_star(n) + 1)
             if not okc or offenders or cov.stats.distance_evaluations > budget:

@@ -11,7 +11,6 @@ from quasimetric import (CompressedClassifier, DegenerateCandidatesError, Direct
                          InseparableSampleError, QueryVectors, bound,
                          build_classifier, build_from_matrix,
                          gen_random_bounded, load_matrix, make_sample, margins, predict)
-from quasimetric import dimension
 from quasimetric.classifier import parse_labels_text, predict_ids
 
 from conftest import random_quasimetric, tie_heavy_spaces
@@ -78,6 +77,14 @@ class TestSampleAndMargins:
             make_sample(qm, {0: 1, 1: 1})
         with pytest.raises(ValueError, match="out of range"):
             make_sample(qm, {0: 1, 5: -1})
+
+    @pytest.mark.parametrize("label", [0, 2, -2, 1.5, -0.5, math.nan])
+    def test_labels_other_than_plus_or_minus_one_raise(self, label):
+        # Neither dropped (0) nor counted as a class (2 as positive): the
+        # first such id is named.
+        qm = build_from_matrix(np.ones((4, 4)) - np.eye(4))
+        with pytest.raises(ValueError, match=r"label for id 1 must be \+1 or -1"):
+            make_sample(qm, {0: 1, 1: label, 2: -1, 3: 2})
 
     def test_labels_parsing(self):
         labels = parse_labels_text("# two points\n0 +1\n3 -1\n")
@@ -159,27 +166,6 @@ class TestBuildClassifier:
                                  lambda_hat=2.0)
         assert clf_i.k == clf_g.k
         assert clf_i.kind == clf_g.kind
-
-    def test_iterated_default_sweeps_no_ball_on_a_four_arc_ring(self, monkeypatch):
-        # A directed ring of 112 points with real weights in [8, 12), edges
-        # leaving an arc 12, labelled in four arcs: both margins are 12, far
-        # below the diameter, so lambda_hat = 2 falls back and so does every
-        # larger one.
-        def refuse(d):
-            raise AssertionError("swept a ball for lambda_hat")
-
-        n = 112
-        labels = np.where((4 * np.arange(n) // n) % 2 == 0, 1, -1)
-        weights = np.random.default_rng(0).uniform(8.0, 12.0, n)
-        weights[labels != np.roll(labels, -1)] = 12.0
-        pre = np.concatenate([[0.0], np.cumsum(weights)])
-        d = np.mod(pre[None, :n] - pre[:n, None], pre[-1])
-        np.fill_diagonal(d, 0.0)
-        sample = make_sample(build_from_matrix(d), dict(enumerate(labels.tolist())))
-        explicit = build_classifier(sample, algorithm="iterated", lambda_hat=2.0)
-        monkeypatch.setattr(dimension, "_greedy_sweep", refuse)
-        default = build_classifier(sample, algorithm="iterated")
-        assert default.to_dict() == explicit.to_dict()
 
     def test_symmetric_space_pairs_candidates(self, rng):
         # with symmetry, outer and inner covers of the same class coincide,

@@ -838,7 +838,7 @@ class TestHarness:
         (["train", "--input", "{cycle8}", "--labels", "{labels}", "--algo", "iterated"],
          ["classifier", "cover"]),
         (["train", "--input", "{far}", "--labels", "{far_labels}", "--algo", "iterated"],
-         ["classifier", "cover", "dimension"]),
+         ["classifier", "cover"]),
         (["train", "--input", "{far}", "--labels", "{far_labels}", "--algo", "iterated",
           "--lambda-hat", "2"], ["classifier", "cover"]),
         (["predict", "--classifier", "{clf}", "--input", "{cycle8}"], ["classifier"]),
@@ -848,9 +848,9 @@ class TestHarness:
             "train-iterated-sweep", "train-iterated-lambda-hat", "predict", "bound", "gen"])
     def test_command_loads_only_its_modules(self, cycle8, tmp_path, capsys, argv, loaded):
         """A command loads cli, _text and space and the modules it runs, no
-        other.  Iterated training loads dimension only to sweep for the
-        covering constant: on two classes 31 apart within and 969 apart from
-        each other, lambda_hat 2 and 3 give different schedules."""
+        other.  Iterated training never loads dimension, not even on two
+        classes 31 apart within and 969 apart from each other, where
+        lambda_hat 2 and 3 give different schedules."""
         labels, clf = tmp_path / "labels.txt", tmp_path / "clf.json"
         save_labels(labels, {i: 1 if i < 4 else -1 for i in range(8)})
         assert main(["train", "--input", cycle8, "--labels", str(labels),
