@@ -5,8 +5,10 @@ Input: :func:`data_lines` defines which lines of a file are data lines and
 :func:`append_row` how a matrix row or a query side becomes float64 values.
 The serial parsers in ``space`` and ``cli`` call both, and they alone
 report errors.  Before them, :func:`parse_numbers` reads a large matrix or
-query file of plain decimals with numpy, in this process; it returns None
-on any other file, and the serial parser reads it.
+query file with numpy, in this process, when its body has the one layout
+``space.save_matrix`` writes: unsigned plain decimals, one space apart,
+every line ending in `\\n`.  It returns None on every other file, and the
+serial parser reads it.
 
 A decimal of at most 18 bytes converts exactly with integer arithmetic and
 one correctly rounded division (Clinger 1990; Lemire 2021, "Number parsing
@@ -87,25 +89,23 @@ def append_row(values: array, line: str, width: int, query: bool) -> bool:
     return True
 
 
-def parse_numbers(source, width: int | None = None
-                  ) -> tuple[int, np.ndarray, list[int]] | None:
+def parse_numbers(source, width: int | None = None) -> tuple[int, np.ndarray] | None:
     """Parse a matrix or query file with numpy, or return None so the
     caller's serial parser reads it.
 
     ``width=None`` reads a matrix file (header ``n``, then ``n`` rows of
     ``n``); otherwise a query file (header ``q``, then ``2q`` sides of
-    ``width`` values or `-`).  On success returns the header count, every
-    row's values in file order as one float64 array, and the indices of the
-    `-` lines.
+    ``width`` values).  On success returns the header count and every row's
+    values in file order as one float64 array.
 
-    None is returned unless ``source`` is a strict-UTF-8 regular file at
-    offset 0 whose header claims at least ``_NUMPY_MIN`` tokens, long double
-    is x87's, and the body after the header line holds only digits, `.`,
-    `-`, spaces and `\\n`, in tokens of at most 18 bytes that are an optional
-    `-` and digits with at most one `.` among them, in lines of ``width``
-    tokens (or the lone `-` of a query side) that number as the header says;
-    and None if the file changes meanwhile.  The values' buffer is allocated
-    once, for no more values than the body's bytes can hold.
+    The one layout taken is the one ``space.save_matrix`` writes: after the
+    header line, lines of ``width`` unsigned plain decimals (digits with at
+    most one `.` among them, at most 18 bytes each), one space between
+    tokens and `\\n` after every line, the last one included, as many lines
+    as the header says.  The file must also be a strict-UTF-8 regular file
+    at offset 0 whose header claims at least ``_NUMPY_MIN`` tokens, long
+    double must be x87's, and the file must not change meanwhile.  Every
+    other file, `-` query sides included, gets None.
     """
     before = _regular_utf8_file(source)
     if before is None or not _exact_division():
@@ -118,25 +118,22 @@ def parse_numbers(source, width: int | None = None
     if header is None or header[0] < 1:
         return None
     count, start = header
-    query = width is not None
-    lines, width = (2 * count, width) if query else (count, count)
+    lines, width = (2 * count, width) if width is not None else (count, count)
     if lines * width < _NUMPY_MIN:
         return None
     body = before.st_size - start
     # a token and its separator take at least 2 bytes
-    values = np.empty(min(lines * width, (body + 1) // 2))
+    values = np.empty(min(lines * width, body // 2))
     rows = max(1, lines * width // _PIECES // width)
     buffer = _Buffer(min(body, body * rows // lines + width))
-    found, filled, dashes = 0, 0, []
+    found = 0
     try:
         while start < before.st_size:
             stop = buffer.read(fd, start, before.st_size)
-            piece = _piece(buffer, stop, width, query, values[filled:])
-            if piece is None or found + piece[0] > lines:
+            piece = _piece(buffer, stop, width, values[found * width:])
+            if piece is None or found + piece > lines:
                 return None
-            dashes.extend(found + d for d in piece[2])
-            found += piece[0]
-            filled += piece[1]
+            found += piece
             start += stop - buffer.pad
     except OSError:
         return None
@@ -144,7 +141,7 @@ def parse_numbers(source, width: int | None = None
     changed = (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns)
     if found != lines or changed:
         return None
-    return count, values[:filled], dashes
+    return count, values
 
 
 def _regular_utf8_file(source) -> os.stat_result | None:
@@ -195,7 +192,7 @@ class _Buffer:
     pad = 24
 
     def __init__(self, size: int) -> None:
-        self.bytes = bytearray(b" " * self.pad + bytes(size + 1))  # + an added `\n`
+        self.bytes = bytearray(b" " * self.pad + bytes(size))
         self.u8 = np.frombuffer(self.bytes, np.uint8)
         self.arrays: dict[str, np.ndarray] = {}
 
@@ -210,10 +207,9 @@ class _Buffer:
 
     def read(self, fd: int, start: int, size: int) -> int:
         """Read whole lines from offset ``start`` of ``fd`` (``size`` bytes
-        long) after the pad, growing as a line needs; return where they stop.
-        A last line without its `\\n` gets one."""
+        long) after the pad, growing as a line needs; return where they stop."""
         with memoryview(self.bytes) as view:
-            got = os.preadv(fd, [view[self.pad:-1]], start)
+            got = os.preadv(fd, [view[self.pad:]], start)
         if not got:
             raise OSError("the file ended early")
         stop = self.pad + got
@@ -222,50 +218,30 @@ class _Buffer:
             if not stop:  # not one whole line
                 self.__init__(2 * len(self.bytes))
                 return self.read(fd, start, size)
-        elif self.bytes[stop - 1] != 10:
-            self.bytes[stop] = 10
-            stop += 1
         return stop
 
 
-def _piece(buffer: _Buffer, stop: int, width: int, query: bool, out: np.ndarray
-           ) -> tuple[int, int, list[int]] | None:
+def _piece(buffer: _Buffer, stop: int, width: int, out: np.ndarray) -> int | None:
     """Convert the lines in ``buffer`` up to ``stop`` into ``out``; return
-    their count, the number of values written and the indices of the `-`
-    lines, or None if :func:`parse_numbers` declines them."""
+    their count, or None unless each is ``width`` tokens, one space apart,
+    and ends in `\\n`."""
     u8 = buffer.u8
+    if u8[stop - 1] != 10:  # a last line without its `\n`
+        return None
     seps = np.flatnonzero(u8[buffer.pad - 1:stop] <= 32)  # a pad space first
     seps += buffer.pad - 1
     kind = u8[seps[1:]]
     newline = kind == 10
-    if not (newline | (kind == 32)).all():
-        return None
     lengths = np.diff(seps)
     lengths -= 1
-    ends = seps[1:]  # each token ends at a separator
-    if lengths.min() > 0:
-        through = np.flatnonzero(newline) + 1  # the tokens up to each line's end
-    else:  # blank lines, or spaces in a row or at a line's ends
-        token = lengths > 0
-        through = np.cumsum(token)[newline]
-        through = through[np.diff(through, prepend=0) > 0]
-        ends, lengths = ends[token], lengths[token]
-    counts = np.diff(through, prepend=0)
-    dashes = np.zeros(0, np.intp)
-    if query:
-        single = np.flatnonzero(counts == 1)
-        alone = through[single] - 1
-        dash = (lengths[alone] == 1) & (u8[ends[alone] - 1] == 45)
-        dashes = single[dash]
-        counts[dashes] = width
-        keep = np.ones(ends.size, bool)
-        keep[alone[dash]] = False
-        ends, lengths = ends[keep], lengths[keep]
-    if (counts != width).any() or ends.size > out.size:
+    if not (newline | (kind == 32)).all() or lengths.min() == 0:
         return None
-    if ends.size and not _convert(buffer, ends, lengths, out[:ends.size]):
+    counts = np.diff(np.flatnonzero(newline), prepend=-1)
+    if (counts != width).any() or lengths.size > out.size:
         return None
-    return counts.size, ends.size, dashes.tolist()
+    if not _convert(buffer, seps[1:], lengths, out[:lengths.size]):
+        return None
+    return counts.size
 
 
 @functools.cache
@@ -285,21 +261,16 @@ def _convert(buffer: _Buffer, ends: np.ndarray, lengths: np.ndarray,
              out: np.ndarray) -> bool:
     """Write the value of the token of ``lengths`` bytes before each of
     ``ends`` to ``out``; False unless every token is digits, at most one
-    `.` among them, after an optional `-`."""
+    `.` among them."""
     u8, t, size = buffer.u8, _tables(), ends.size
     if lengths.max() > 18:
         return False
-    at = np.subtract(ends, lengths, out=buffer.array("at", size, np.intp))
-    neg = np.equal(u8.take(at), 45, out=buffer.array("neg", size, bool))
-    lengths -= neg  # the digits and `.` after any `-`
     words = -(-int(lengths.max()) // 8)
-    if not words:  # every token a lone `-`
-        return False
     window = np.ndarray((u8.size - 8 * words + 1,), f"V{8 * words}", buffer.bytes, 0, (1,))
     dot_lanes = buffer.array("dot_lanes", size * words).reshape(size, words)
     held = buffer.array("scratch", size * max(words, 2))  # room for a long double each
     scratch = held[:size * words].reshape(size, words)
-    np.subtract(ends, 8 * words, out=at)
+    at = np.subtract(ends, 8 * words, out=buffer.array("at", size, np.intp))
     x = window[at].view(_U64).reshape(size, words)  # faster than a take into kept scratch
     x ^= t.zero  # a digit's lane now holds its value
     x &= t.lanes[words - 1].take(lengths, axis=0, out=scratch)  # bytes before the token: 0
@@ -345,7 +316,6 @@ def _convert(buffer: _Buffer, ends: np.ndarray, lengths: np.ndarray,
         low = np.bitwise_and(quotient.view(_U64)[::2], _U64(0x7FF), out=n)
         for i in np.flatnonzero(low == _U64(0x400)).tolist():
             out[i] = float(buffer.bytes[ends[i] - lengths[i]:ends[i]])
-    np.negative(out, out=out, where=neg)
     return True
 
 

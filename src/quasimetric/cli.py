@@ -319,7 +319,7 @@ def parse_queries_text(source, n: int) -> list[QueryVectors]:
     """
     parsed = _text.parse_numbers(source, n)
     if parsed is not None:
-        q, values, dashes = parsed
+        (q, values), dashes = parsed, ()
     else:
         first, lines = _first_line(source, "queries")
         q = int(first)

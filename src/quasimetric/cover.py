@@ -216,7 +216,8 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
 
     No size guarantee at all; useful as the thing the greedy rule beats.
     The order is ascending by id, or with a ``seed`` the permutation
-    ``np.random.default_rng(seed)`` draws.
+    ``np.random.default_rng(seed)`` draws.  A target in no candidate ball
+    raises ``CoverageError``, as in the greedy cover.
     """
     direction = Direction(direction)
     _check_alpha(alpha)
@@ -228,11 +229,13 @@ def arbitrary_cover(qm: QuasiMetric, target: Iterable[int], candidates: Iterable
     table = _coverage_matrix(qm, cand, tgt, alpha, direction)
     # Scanning in order keeps a candidate exactly when it is the first to
     # hold some target: each held target's first holder, in scan order.
-    hit = table.any(axis=0)
-    held = np.bincount(table.argmax(axis=0)[hit], minlength=len(cand))
+    missing = {tgt[t] for t in np.flatnonzero(~table.any(axis=0)).tolist()}
+    if missing:
+        raise CoverageError(f"{len(missing)} target point(s) lie in no candidate ball at "
+                            f"radius {alpha}", uncoverable=missing)
+    held = np.bincount(table.argmax(axis=0), minlength=len(cand))
     picks = np.flatnonzero(held).tolist()
-    stats = CoverStats(iterations=picks[-1] + 1 if hit.all() else len(cand),
-                       distance_evaluations=len(cand) * len(tgt))
+    stats = CoverStats(iterations=picks[-1] + 1, distance_evaluations=len(cand) * len(tgt))
     return _cover_from_picks(table, picks, cand, tgt, alpha, direction, stats)
 
 

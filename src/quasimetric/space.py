@@ -571,7 +571,7 @@ def parse_matrix_text(source) -> np.ndarray:
     file's text as a `str` or an open text file."""
     parsed = _text.parse_numbers(source)
     if parsed is not None:
-        n, values, _ = parsed
+        n, values = parsed
     else:
         first, lines = _first_line(source, "matrix")
         try:

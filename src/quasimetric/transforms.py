@@ -34,28 +34,27 @@ class SymmetricSpace(QuasiMetric):
     """
 
     kind: SymmetricKind
-    origin: str
 
 
 def to_max_metric(qm: QuasiMetric) -> SymmetricSpace:
     """max(d(x,y), d(y,x)): symmetric and always a metric."""
     _require_strict(qm, "to_max_metric")
     return SymmetricSpace(dist=np.maximum(qm.dist, qm.dist.T),
-                          kind=SymmetricKind.METRIC, origin="max")
+                          kind=SymmetricKind.METRIC)
 
 
 def to_min_semimetric(qm: QuasiMetric) -> SymmetricSpace:
     """min(d(x,y), d(y,x)): symmetric, but triangles may break."""
     _require_strict(qm, "to_min_semimetric")
     return SymmetricSpace(dist=np.minimum(qm.dist, qm.dist.T),
-                          kind=SymmetricKind.SEMIMETRIC, origin="min")
+                          kind=SymmetricKind.SEMIMETRIC)
 
 
 def to_sum_metric(qm: QuasiMetric) -> SymmetricSpace:
     """d(x,y) + d(y,x): symmetric and always a metric (round-trip cost)."""
     _require_strict(qm, "to_sum_metric")
     return SymmetricSpace(dist=qm.dist + qm.dist.T,
-                          kind=SymmetricKind.METRIC, origin="sum")
+                          kind=SymmetricKind.METRIC)
 
 
 def check_symmetric_axioms(space: SymmetricSpace,

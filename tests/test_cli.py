@@ -275,6 +275,17 @@ class TestCover:
                           "--target", "7", "--candidates", "0"], capsys)
         assert rc == 1 and "error:" in cap.err
 
+    @pytest.mark.parametrize("algo", ["greedy", "iterated", "arbitrary"])
+    def test_target_in_no_candidate_ball_exits_one(self, tmp_path, algo, capsys):
+        """Every algorithm refuses a target no candidate ball holds."""
+        out = tmp_path / "c6.txt"
+        run(["gen", "--kind", "cycle", "--n", "6", "--output", str(out)], capsys)
+        rc, doc, cap = run(["cover", "--input", str(out), "--alpha", "1", "--direction",
+                            "outer", "--candidates", "0", "--algo", algo], capsys)
+        assert rc == 1 and doc is None
+        assert cap.err.splitlines() == [
+            "error: 4 target point(s) lie in no candidate ball at radius 1.0"]
+
     @pytest.mark.parametrize("algo", ["arbitrary", "iterated"])
     def test_eps_with_other_algorithm_is_usage_error(self, cycle8, algo, capsys):
         rc, doc, cap = run(["cover", "--input", cycle8, "--alpha", "2",

@@ -257,9 +257,14 @@ class TestArbitraryCover:
         if seed is not None:  # a seed scans a seeded permutation
             scan = [candidates[i] for i in np.random.default_rng(seed).permutation(
                 len(candidates))]
-        cov = arbitrary_cover(qm, target, candidates, alpha, direction, seed=seed)
         picks, assignment, uncovered, iterations = brute_arbitrary_cover(
             qm, target, scan, alpha, direction)
+        if uncovered:  # a target in no candidate ball
+            with pytest.raises(CoverageError, match="lie in no candidate ball") as err:
+                arbitrary_cover(qm, target, candidates, alpha, direction, seed=seed)
+            assert err.value.uncoverable == uncovered
+            return
+        cov = arbitrary_cover(qm, target, candidates, alpha, direction, seed=seed)
         assert cov.cover_ids == picks
         assert cov.assignment == assignment
         assert cov.uncovered == uncovered

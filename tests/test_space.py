@@ -961,9 +961,25 @@ class TestStreamingParsers:
 ROWS5 = ["0 1 2 3 4", "1 0 2 3 4", "2 1 0 3 4", "3 2 1 0 4", "4 3 2 1 0"]
 QUERY_SIDES = ["0 1 2", "-", "1 1 1", "2 2 2", "3 3 3", "-"]
 
-# What the numpy parse converts: an optional `-`, then digits with at most
-# one `.` among them, in at most 18 bytes.
-PLAIN_DECIMAL = re.compile(r"-?(\d+\.?\d*|\.\d+)")
+# What the numpy parse converts: digits with at most one `.` among them, in
+# at most 18 bytes.
+PLAIN_DECIMAL = re.compile(r"\d+\.?\d*|\.\d+")
+
+# Entries of written matrices: integers, reals in [1, 1e6), values below 1,
+# zeros, values of 1e17 and up, and inf.
+SAVED_ENTRIES = [st.integers(0, 10 ** 6).map(float), st.floats(1, 1e6, exclude_max=True),
+                 st.floats(0, 1, exclude_max=True), st.just(0.0), st.floats(1e17, 1e300),
+                 st.just(INF)]
+
+
+@st.composite
+def saved_matrices(draw):
+    """A non-negative matrix of up to 5 points, its entries of one to three
+    of the kinds above."""
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(SAVED_ENTRIES), min_size=1, max_size=3))
+    cells = draw(st.lists(st.one_of(kinds), min_size=n * n, max_size=n * n))
+    return np.array(cells).reshape(n, n)
 
 
 def midpoint_neighbour(x: float, digits: int, up: bool) -> str:
@@ -1061,18 +1077,19 @@ class TestParallelParse:
         ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5 + ROWS5[:1]), False),
         ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5[:4]), False),
         ("matrix", "5\x0b" + "".join(f"{row}\n" for row in ROWS5 + ROWS5[:1]), False),
-        ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES), True),
+        ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES), False),
         ("queries", "3\n" + "".join(f"{side}\n" for side in QUERY_SIDES[:5]) + "3 x\n",
          False),
-        ("matrix", "# c\n\n5\n" + "\n".join(ROWS5), True),
+        ("matrix", "# c\n\n5\n" + "\n".join(ROWS5), False),
         ("matrix", "5\n\n" + "".join(f" {row.replace(' ', '  ')} \n\n" for row in ROWS5),
-         True),
-        ("queries", "2\n-\n-\n0 1 2\n-\n", True),
+         False),
+        ("queries", "2\n-\n-\n0 1 2\n-\n", False),
         ("queries", "1\n0 - 2\n-\n", False),
+        ("matrix", "5\n" + "".join(f"{row}\n" for row in ROWS5) + "4", False),
     ], ids=["comments-at-cuts", "crlf", "bare-cr", "bad-token", "short-row", "extra-row",
             "missing-row", "row-on-header-line", "dash-side", "bad-side",
             "comment-header-no-final-newline", "blank-lines-and-spaces", "dash-sides-only",
-            "dash-inside-a-side"])
+            "dash-inside-a-side", "token-after-the-last-newline"])
     def test_pinned_cases(self, tmp_path, taken, kind, text, kernel):
         self.check(tmp_path / "input.txt", kind, text)
         assert taken == [kernel and _text._exact_division()]
@@ -1123,6 +1140,26 @@ class TestParallelParse:
             assert got[1].tobytes() == np.array([float(t) for t in cells]).tobytes()
         else:
             assert got is None
+
+    @given(matrix=saved_matrices(), header=st.lists(st.sampled_from(["seed 7", ""]),
+                                                    max_size=2))
+    @example(matrix=np.array([[0.0, 1.5], [2.0, 0.0]]), header=["seed 7"])
+    @example(matrix=np.array([[0.0, INF], [1e17, 0.5]]), header=[])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_what_save_matrix_writes_is_what_the_kernel_takes(self, tmp_path, matrix, header):
+        """The numpy parse takes a written file exactly when every entry's
+        text is an unsigned plain decimal of at most 18 bytes, and either
+        parse gives back the written bits."""
+        path = tmp_path / "m.txt"
+        save_matrix(path, matrix, header)
+        texts = [format_value(v) for v in matrix.ravel().tolist()]
+        plain = all(len(t) <= 18 and PLAIN_DECIMAL.fullmatch(t) for t in texts)
+        with open(path, encoding="utf-8") as fh:
+            taken = _text.parse_numbers(fh) is not None
+        assert taken == (plain and _text._exact_division())
+        with open(path, encoding="utf-8") as fh:
+            assert parse_matrix_text(fh).tobytes() == matrix.tobytes()
 
     @pytest.mark.parametrize("kind,text", [
         ("matrix", b"2\n0 1e5\n1 0\n"),
@@ -1206,7 +1243,7 @@ def per_value_text(matrix, header=()) -> bytes:
 
 @pytest.fixture
 def started(monkeypatch):
-    """The list of every worker process started since."""
+    """The list of every process started since."""
     starts = []
 
     class Counted(subprocess.Popen):
@@ -1404,7 +1441,7 @@ class TestWriterInputChecks:
             save_matrix(path, matrix)
         assert path.read_text() == "untouched"
 
-    def test_unopenable_path_fails_before_any_worker(self, tmp_path, started):
+    def test_unopenable_path_fails_before_any_process(self, tmp_path, started):
         with pytest.raises(FileNotFoundError):
             save_matrix(tmp_path / "no-such-dir" / "m.txt", np.zeros((8, 8)))
         assert started == []

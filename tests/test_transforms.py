@@ -68,14 +68,13 @@ class TestAxiomChecks:
 
     def test_metric_claim_fails_on_violation(self, asym):
         mn = to_min_semimetric(asym)
-        posing = type(mn)(dist=mn.dist.copy(), kind=SymmetricKind.METRIC,
-                          origin="min")
+        posing = type(mn)(dist=mn.dist.copy(), kind=SymmetricKind.METRIC)
         assert not check_symmetric_axioms(posing, tolerance=0.0).passed
 
     def test_symmetry_violation_detected(self):
         mx = to_max_metric(build_from_matrix([[0, 1], [1, 0]]))
         broken = type(mx)(dist=np.array([[0.0, 1.0], [2.0, 0.0]]),
-                          kind=SymmetricKind.METRIC, origin="max")
+                          kind=SymmetricKind.METRIC)
         report = check_symmetric_axioms(broken)
         assert not report.passed
         assert report.symmetry_violations == [(0, 1, 1.0, 2.0)]
@@ -84,8 +83,7 @@ class TestAxiomChecks:
         # 60 points: 1770 lopsided pairs, or 3540 negative entries
         n = 60
         upper = np.triu(np.ones((n, n)), 1)
-        lopsided = SymmetricSpace(dist=upper + 2 * upper.T, kind=SymmetricKind.METRIC,
-                                  origin="user")
+        lopsided = SymmetricSpace(dist=upper + 2 * upper.T, kind=SymmetricKind.METRIC)
         report = check_symmetric_axioms(lopsided)
         pairs = [(i, j, 1.0, 2.0) for i in range(n) for j in range(i + 1, n)]
         assert report.symmetry_violations == pairs[:_MAX_REPORTED]
@@ -93,7 +91,7 @@ class TestAxiomChecks:
         negative = np.eye(n) - 1
         cells = [(i, j, -1.0) for i in range(n) for j in range(n) if i != j]
         for report in (check_symmetric_axioms(SymmetricSpace(
-                           dist=negative, kind=SymmetricKind.METRIC, origin="user")),
+                           dist=negative, kind=SymmetricKind.METRIC)),
                        validate(QuasiMetric(dist=negative))):
             assert report.negative_entries == cells[:_MAX_REPORTED]
             assert report.truncated and not report.passed
